@@ -131,6 +131,45 @@ pub fn merge_into_slice_ref<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) -> u64 
     }
 }
 
+/// Reference execution of the merge *schedule* that
+/// `losertree::merge_into_slice` charges: the same pair pre-merge plan,
+/// each pair fused by a counted two-way merge loop, then
+/// [`ReferenceLoserTree`] over the resulting leaves. Its count is the
+/// oracle for the analytic accounting plane
+/// (`losertree::schedule_comparisons`); a plain reference tree over the
+/// input runs is not, once a duplicate-heavy run shifts the pairing.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn merge_schedule_ref<T: Ord + Copy>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let mut cmps = 0u64;
+    let leaves: Vec<Vec<T>> = crate::losertree::premerge_plan(runs)
+        .into_iter()
+        .map(|l| match runs[l] {
+            [a, b] => {
+                let (mut i, mut j) = (0usize, 0usize);
+                let mut fused = Vec::with_capacity(a.len() + b.len());
+                while i < a.len() && j < b.len() {
+                    cmps += 1;
+                    if a[i] <= b[j] {
+                        fused.push(a[i]);
+                        i += 1;
+                    } else {
+                        fused.push(b[j]);
+                        j += 1;
+                    }
+                }
+                fused.extend_from_slice(&a[i..]);
+                fused.extend_from_slice(&b[j..]);
+                fused
+            }
+            ref single => single.concat(),
+        })
+        .collect();
+    let refs: Vec<&[T]> = leaves.iter().map(Vec::as_slice).collect();
+    cmps + merge_into_slice_ref(&refs, out)
+}
+
 /// Reference run formation: `sort_unstable` on every run — the "before"
 /// side of the `kernel_bench` run-formation cell.
 pub fn form_runs_ref<T: Ord>(data: &mut [T], run_elems: usize) {

@@ -22,24 +22,6 @@ unsafe fn bias(v: __m256i) -> __m256i {
     _mm256_xor_si256(v, _mm256_set1_epi64x(i64::MIN))
 }
 
-/// Lane-wise unsigned `a > b` mask.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn gt_u64(a: __m256i, b: __m256i) -> __m256i {
-    _mm256_cmpgt_epi64(bias(a), bias(b))
-}
-
-/// Lane-wise unsigned (min, max).
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn minmax_u64(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
-    let a_gt = gt_u64(a, b);
-    (
-        _mm256_blendv_epi8(a, b, a_gt),
-        _mm256_blendv_epi8(b, a, a_gt),
-    )
-}
-
 fn debug_check_avx2() {
     debug_assert!(
         is_x86_feature_detected!("avx2"),
@@ -194,36 +176,64 @@ unsafe fn radix_scatter_impl(
 // 4-wide bitonic merge network
 // ---------------------------------------------------------------------------
 
-/// Sort a 4-lane *bitonic* sequence ascending with the 2-step cleaner
-/// (half exchange, then adjacent-pair exchange).
+// The network runs on *biased* keys (see [`bias`]): loads are biased once
+// and stores unbiased once, so every compare inside is one signed
+// `cmpgt`.
+
+/// One compare-exchange stage on biased keys: each lane meets its partner
+/// `t` (a lane permutation of `v`) and keeps the min where `flip` is 0 and
+/// the max where it is all-ones. Flipping every bit reverses signed order
+/// (`!x > !y ⟺ y > x`), so one compare and one blend serve both
+/// directions.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn exchange(v: __m256i, t: __m256i, flip: __m256i) -> __m256i {
+    let take_t = _mm256_cmpgt_epi64(_mm256_xor_si256(v, flip), _mm256_xor_si256(t, flip));
+    _mm256_blendv_epi8(v, t, take_t)
+}
+
+/// Sort a 4-lane *bitonic* sequence of biased keys ascending with the
+/// 2-step cleaner (half exchange, then adjacent-pair exchange).
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn bitonic4_clean(v: __m256i) -> __m256i {
-    // Step 1: compare lanes {0,1} with {2,3} (swap 128-bit halves).
+    // Step 1: lanes {0,1} meet {2,3} (swap 128-bit halves); mins stay low.
     let t = _mm256_permute4x64_epi64(v, 0b01_00_11_10);
-    let (mn, mx) = minmax_u64(v, t);
-    // Keep mins in lanes 0,1 and maxes in lanes 2,3.
-    let v = _mm256_blend_epi32(mn, mx, 0b1111_0000);
-    // Step 2: compare adjacent lanes {0,2} with {1,3}.
+    let v = exchange(v, t, _mm256_set_epi64x(-1, -1, 0, 0));
+    // Step 2: adjacent lanes meet; mins in lanes 0,2, maxes in 1,3.
     let t = _mm256_permute4x64_epi64(v, 0b10_11_00_01);
-    let (mn, mx) = minmax_u64(v, t);
-    // Keep mins in lanes 0,2 and maxes in lanes 1,3.
-    _mm256_blend_epi32(mn, mx, 0b1100_1100)
+    exchange(v, t, _mm256_set_epi64x(-1, 0, -1, 0))
 }
 
-/// Merge two ascending 4-lane registers into an ascending 8-sequence,
-/// returned as (low 4, high 4): reverse `b`, lane-wise min/max forms two
-/// bitonic halves, clean each.
+/// Merge two ascending 4-lane registers of biased keys into an ascending
+/// 8-sequence, returned as (low 4, high 4): reverse `b`, lane-wise min/max
+/// forms two bitonic halves, clean each.
 #[inline]
 #[target_feature(enable = "avx2")]
 unsafe fn bitonic_merge8(a: __m256i, b: __m256i) -> (__m256i, __m256i) {
     let br = _mm256_permute4x64_epi64(b, 0b00_01_10_11);
-    let (lo, hi) = minmax_u64(a, br);
+    let a_gt = _mm256_cmpgt_epi64(a, br);
+    let lo = _mm256_blendv_epi8(a, br, a_gt);
+    let hi = _mm256_blendv_epi8(br, a, a_gt);
     (bitonic4_clean(lo), bitonic4_clean(hi))
 }
 
+/// Biased load of the 4 keys at `p`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn load4(p: *const u64) -> __m256i {
+    bias(_mm256_loadu_si256(p.cast()))
+}
+
+/// Unbiased store of a biased register to the 4 keys at `p`.
+#[inline]
+#[target_feature(enable = "avx2")]
+unsafe fn store4(p: *mut u64, v: __m256i) {
+    _mm256_storeu_si256(p.cast(), bias(v));
+}
+
 /// See [`super::merge_pair`]: merge sorted `a` and `b` into `out` with the
-/// 4-wide bitonic network, streaming 4 outputs per step.
+/// 4-wide bitonic network, streaming 4 outputs per step from both ends.
 pub fn merge_pair_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
     debug_check_avx2();
     assert_eq!(out.len(), a.len() + b.len(), "merge_pair size mismatch");
@@ -233,9 +243,93 @@ pub fn merge_pair_u64(a: &[u64], b: &[u64], out: &mut [u64]) {
     }
     // SAFETY: dispatch gates on AVX2 detection before routing here; length
     // preconditions checked above.
-    unsafe { merge_pair_impl(a, b, out) }
+    unsafe { merge_pair_two_ended(a, b, out) }
 }
 
+/// Two interleaved streams: the front one emits the smallest elements
+/// ascending from `out[0]`, the back one (the mirror image: hold the low
+/// half, refill from the run whose tail is larger) the largest descending
+/// from the end. Each stream's network output feeds its next step, so one
+/// stream is bound by that latency chain; two independent chains overlap.
+/// When a stream cannot refill a full block it stops, and the gap between
+/// the two — the sorted merge's positions `[front, back)` — is merged from
+/// the runs' co-ranks at its two ends.
+#[target_feature(enable = "avx2")]
+unsafe fn merge_pair_two_ended(a: &[u64], b: &[u64], out: &mut [u64]) {
+    let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
+    let (la, lb) = (a.len(), b.len());
+    let (mut fva, mut fvb) = (load4(pa), load4(pb));
+    let (mut fa, mut fb, mut fo) = (4usize, 4usize, 0usize);
+    // Back-stream read heads are exclusive ends.
+    let (mut ra, mut rb, mut ro) = (la - 4, lb - 4, la + lb);
+    let (mut rva, mut rvb) = (load4(pa.add(ra)), load4(pb.add(rb)));
+    let (mut front, mut back) = (true, true);
+    loop {
+        let step_f = front && ro - fo >= 4;
+        let step_r = back && ro - fo >= if step_f { 8 } else { 4 };
+        if !(step_f || step_r) {
+            break;
+        }
+        if step_f {
+            let (lo, hi) = bitonic_merge8(fva, fvb);
+            store4(po.add(fo), lo);
+            fo += 4;
+            fvb = hi;
+            // Refill from the run with the smaller head: load both
+            // candidate blocks and blend, no branch — on uniform keys the
+            // comparison is a coin flip. Needs a full block in both runs.
+            front = fa + 4 <= la && fb + 4 <= lb;
+            if front {
+                let ta = *pa.add(fa) <= *pb.add(fb);
+                let mask = _mm256_set1_epi64x(-i64::from(ta));
+                fva = _mm256_blendv_epi8(load4(pb.add(fb)), load4(pa.add(fa)), mask);
+                fa += 4 * usize::from(ta);
+                fb += 4 * usize::from(!ta);
+            }
+        }
+        if step_r {
+            let (lo, hi) = bitonic_merge8(rva, rvb);
+            ro -= 4;
+            store4(po.add(ro), hi);
+            rvb = lo;
+            // Mirror image: refill from the run with the larger tail.
+            back = ra >= 4 && rb >= 4;
+            if back {
+                let ta = *pa.add(ra - 1) > *pb.add(rb - 1);
+                let mask = _mm256_set1_epi64x(-i64::from(ta));
+                rva = _mm256_blendv_epi8(load4(pb.add(rb - 4)), load4(pa.add(ra - 4)), mask);
+                ra -= 4 * usize::from(ta);
+                rb -= 4 * usize::from(!ta);
+            }
+        }
+    }
+    let (i, j) = co_rank(a, b, fo);
+    let (i2, j2) = co_rank(a, b, ro);
+    let (ma, mb) = (&a[i..i2], &b[j..j2]);
+    let gap = &mut out[fo..ro];
+    if ma.len() < 4 || mb.len() < 4 {
+        super::scalar::merge_pair(ma, mb, gap);
+    } else {
+        merge_pair_impl(ma, mb, gap);
+    }
+}
+
+/// Split point of the stable merge of `a` and `b` after `k` outputs:
+/// `(i, k − i)` with `a[..i]` and `b[..k − i]` the first `k` (ties to `a`).
+fn co_rank(a: &[u64], b: &[u64], k: usize) -> (usize, usize) {
+    let (mut lo, mut hi) = (k.saturating_sub(b.len()), k.min(a.len()));
+    while lo < hi {
+        let i = (lo + hi) / 2;
+        if a[i] <= b[k - i - 1] {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    (lo, k - lo)
+}
+
+/// One-ended stream merge (both runs at least 4 long).
 #[target_feature(enable = "avx2")]
 unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
     // Stream-merge invariant (the classic SIMD two-way merge): hold 8
@@ -243,12 +337,12 @@ unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
     // whichever run's next element is smaller. Every register element
     // originates below its run's read head, so the emitted low half is
     // bounded by both heads — the output is globally sorted.
-    let mut va = _mm256_loadu_si256(a.as_ptr().cast());
-    let mut vb = _mm256_loadu_si256(b.as_ptr().cast());
+    let mut va = load4(a.as_ptr());
+    let mut vb = load4(b.as_ptr());
     let (mut ia, mut ib, mut o) = (4usize, 4usize, 0usize);
     loop {
         let (lo, hi) = bitonic_merge8(va, vb);
-        _mm256_storeu_si256(out.as_mut_ptr().add(o).cast(), lo);
+        store4(out.as_mut_ptr().add(o), lo);
         o += 4;
         vb = hi;
         // Refill from the run whose head is smaller — loading from the
@@ -265,13 +359,13 @@ unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
             if ia + 4 > a.len() {
                 break;
             }
-            va = _mm256_loadu_si256(a.as_ptr().add(ia).cast());
+            va = load4(a.as_ptr().add(ia));
             ia += 4;
         } else {
             if ib + 4 > b.len() {
                 break;
             }
-            va = _mm256_loadu_si256(b.as_ptr().add(ib).cast());
+            va = load4(b.as_ptr().add(ib));
             ib += 4;
         }
     }
@@ -279,7 +373,7 @@ unsafe fn merge_pair_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
     // register and finish with a scalar 3-way merge of (held, a-tail,
     // b-tail).
     let mut held = [0u64; 4];
-    _mm256_storeu_si256(held.as_mut_ptr().cast(), vb);
+    store4(held.as_mut_ptr(), vb);
     let (mut h, mut i, mut j) = (0usize, ia, ib);
     while o < out.len() {
         // Smallest of the three heads; `held` is sorted ascending.
@@ -443,6 +537,38 @@ mod tests {
     }
 
     #[test]
+    fn merge_pair_two_ended_on_skewed_lengths() {
+        if !has_avx2() {
+            return;
+        }
+        // Short runs against long ones, placed low, high or clustered, so
+        // either stream (or both) runs out of full blocks early.
+        let mut rng = StdRng::seed_from_u64(15);
+        for _ in 0..400 {
+            let la = rng.gen_range(4usize..24);
+            let lb = rng.gen_range(4usize..600);
+            let (lo, hi) = match rng.gen_range(0..4) {
+                0 => (0u64, 100u64),
+                1 => (900, 1000),
+                2 => (480, 520),
+                _ => (0, 1000),
+            };
+            let mut a: Vec<u64> = (0..la).map(|_| rng.gen_range(lo..hi)).collect();
+            let mut b: Vec<u64> = (0..lb).map(|_| rng.gen_range(0..1000)).collect();
+            a.sort_unstable();
+            b.sort_unstable();
+            if rng.gen_bool(0.5) {
+                std::mem::swap(&mut a, &mut b);
+            }
+            let mut got = vec![0u64; a.len() + b.len()];
+            merge_pair_u64(&a, &b, &mut got);
+            let mut want = vec![0u64; a.len() + b.len()];
+            crate::kernels::simd::scalar::merge_pair(&a, &b, &mut want);
+            assert_eq!(got, want, "a={a:?} b={b:?}");
+        }
+    }
+
+    #[test]
     fn merge_pair_adversarial_blocks() {
         if !has_avx2() {
             return;
@@ -458,6 +584,21 @@ mod tests {
             ),
             (vec![5; 40], vec![5; 44]),
             ((0..8).collect(), (4..100).collect()),
+            // A short run in the middle, at either end, or straddling the
+            // extremes of a long one: the two-ended kernel's streams stop
+            // early and the co-rank gap merge takes over.
+            (vec![500, 501, 502, 503, 504], (0..1000).collect()),
+            (vec![0, 1, 2, 3, 4, 5], (10..1000).collect()),
+            (vec![2000, 2001, 2002, 2003, 2004], (0..1000).collect()),
+            (vec![0, 1, 2, 3, 998, 999, 1000, 1001], (1..1000).collect()),
+            (
+                vec![u64::MAX; 9],
+                vec![u64::MAX - 1, u64::MAX, u64::MAX, u64::MAX],
+            ),
+            (
+                vec![0, 1 << 62, 1 << 63, 3 << 62, u64::MAX],
+                (0..400).map(|x| x << 55).collect(),
+            ),
         ];
         for (a, b) in cases {
             let mut got = vec![0u64; a.len() + b.len()];

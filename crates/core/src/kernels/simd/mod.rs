@@ -1,8 +1,8 @@
 //! Runtime-dispatched vectorized kernels (AVX2 + portable scalar fallback).
 //!
 //! The hot inner loops of the kernel layer — bucket-boundary scans, the
-//! radix sort's histogram and scatter passes, and two-way run pre-merging —
-//! have a hand-vectorized x86-64 AVX2 form selected **once** at startup via
+//! radix sort's histogram and scatter passes, and two-way merging — have a
+//! hand-vectorized x86-64 AVX2 form selected **once** at startup via
 //! `std::arch` feature detection. Every entry point in this module routes
 //! to the AVX2 form when (a) the host supports AVX2, (b) the element type
 //! is `u64` (the repo's benchmark key type), and (c) `TLMM_NO_SIMD=1` is
@@ -12,12 +12,19 @@
 //! the differential proptests in `tests/simd_differential.rs` assert across
 //! workload shapes and key types.
 //!
+//! [`merge_pair`] is the data plane of every k-way merge of runs averaging
+//! at least 8 elements: `losertree::pairwise_merge` runs a pairwise tree
+//! of it while the accounting plane derives the comparison count
+//! separately. Its AVX2 form interleaves two bitonic streams, one from
+//! each end of the output (see `avx2`).
+//!
 //! **Cost-ledger invariant.** Dispatch never changes simulated charges:
-//! callers charge scan lengths and comparison counts from the *data* (or
-//! from the analytic two-way merge model, see [`pair_merge_cost`]), not
-//! from which kernel executed. `CostSnapshot` ledgers are byte-identical
-//! with SIMD forced off — asserted in-binary by `parallel_bench` and by the
-//! golden-ledger replay tests. See DESIGN.md §15.
+//! callers charge scan lengths and comparison counts from the *data* (the
+//! analytic two-way merge model [`pair_merge_cost`], or the k-way merge
+//! schedule's count from `losertree::schedule_comparisons`), not from
+//! which kernel executed. `CostSnapshot` ledgers are byte-identical with
+//! SIMD forced off — asserted in-binary by `parallel_bench` and by the
+//! golden-ledger replay tests. See DESIGN.md §10 and §15.
 
 pub mod scalar;
 
@@ -158,9 +165,10 @@ pub fn radix_scatter<T: super::RadixKey>(
 }
 
 /// Merge two sorted runs into `out` (`out.len() == a.len() + b.len()`),
-/// ties taking `a` first. The vector form runs a 4-wide bitonic merge
-/// network; for the key types it routes (`u64`), equal keys are identical
-/// elements, so its output sequence matches the scalar merge exactly.
+/// ties taking `a` first. The vector form runs two interleaved 4-wide
+/// bitonic merge streams, one from each end; for the key types it routes
+/// (`u64`), equal keys are identical elements, so its output sequence
+/// matches the scalar merge exactly.
 ///
 /// Neither form counts comparisons — callers charge [`pair_merge_cost`],
 /// the analytic two-way merge model, keeping ledgers dispatch-independent.

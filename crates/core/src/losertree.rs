@@ -2,13 +2,34 @@
 //!
 //! The workhorse of every merge in this crate: the external mergesort's
 //! merge passes, NMsort's Phase-2 multiway merge of sorted chunk segments,
-//! and the baseline's final merge. A loser tree merges `k` sorted runs with
-//! `⌈lg k⌉` comparisons per emitted element, independent of `k` — exactly
-//! the constant the multiway merge sort analysis (Theorem 1) assumes.
+//! the baseline's final merge and SPMS's sample and bucket merges. A loser
+//! tree merges `k` sorted runs with `⌈lg k⌉` comparisons per emitted
+//! element, independent of `k` — exactly the constant the multiway merge
+//! sort analysis (Theorem 1) assumes.
+//!
+//! **Two planes** (see DESIGN.md §10). [`merge_into_slice`] returns the
+//! comparison count of one fixed *schedule* — pair pre-merges of adjacent
+//! short runs ([`premerge_plan`]), then a loser tree over the resulting
+//! leaves — and every ledger charges that count. Note it is the count of
+//! that schedule, not of a plain loser tree over the input runs: a
+//! [`duplicate_heavy`] run left out of the pairing shifts the pairs after
+//! it. The cost model analyses an execution rather than prescribing one,
+//! so the host is free to produce the output differently:
+//!
+//! * the **accounting plane** ([`schedule_comparisons`], in
+//!   `accounting.rs`) derives the schedule's count exactly from the sorted
+//!   runs without merging them;
+//! * the **data plane** ([`pairwise_merge`]) merges with a pairwise tree
+//!   of the streaming two-way kernel
+//!   ([`crate::kernels::simd::merge_pair`]).
+//!
+//! Merges of short runs (average below [`PAIRWISE_MIN_AVG_RUN`]) keep the
+//! loser-tree path ([`tournament_merge`]), which executes the schedule and
+//! counts itself. Output and count are identical on both paths.
 //!
 //! **Kernel engineering** (see `kernels` module docs and DESIGN.md §10):
-//! this is the branchless rewrite. Each internal node stores the loser's
-//! *key and leaf id side by side* (parallel `node_keys`/`node_meta`
+//! [`LoserTree`] is the branchless rewrite. Each internal node stores the
+//! loser's *key and leaf id side by side* (parallel `node_keys`/`node_meta`
 //! arrays), so one replay step issues two independent L1 loads instead of
 //! the reference implementation's chained `tree[node] → heads[loser]`
 //! indirection — the replay path's serial dependency is the comparison
@@ -29,6 +50,10 @@
 //! equivalence tests assert both emit the identical element sequence and
 //! comparison count.
 
+mod accounting;
+
+pub use accounting::{schedule_comparisons, ScheduleCost};
+
 /// Low 31 bits of a node's meta word: the leaf index. Bit 31 is the alive
 /// flag.
 const LEAF_MASK: u32 = 0x7FFF_FFFF;
@@ -47,11 +72,11 @@ const ADAPT_BLOCK: u32 = 8192;
 /// branchless form does not on biased ones).
 const PIN_FLIPS: u32 = 4;
 
-/// Runs at or below this length are eligible for pair pre-merging in
-/// [`merge_into_slice`]: adjacent short runs are two-way merged (a
-/// vectorizable streaming kernel) before the loser tree builds, halving
-/// `k` where it is cheap. Long runs skip it — the pair buffer would
-/// rival the tree's own working set.
+/// Runs at or below this length are eligible for pair pre-merging in the
+/// merge schedule ([`premerge_plan`]): adjacent short runs are two-way
+/// merged (a vectorizable streaming kernel) before the loser tree builds,
+/// halving `k` where it is cheap. Long runs skip it — the pair buffer
+/// would rival the tree's own working set.
 const PREMERGE_MAX: usize = 1 << 16;
 
 /// A loser tree over `k` in-memory sorted runs.
@@ -330,74 +355,246 @@ impl<T> Drop for LoserTree<'_, T> {
     }
 }
 
-/// Merge `runs` into `out` (appended), returning the number of comparisons.
-pub fn merge_into<T: Ord + Copy>(runs: &[&[T]], out: &mut Vec<T>) -> u64 {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    out.reserve(total);
+/// Merges whose average run length is below this many elements take the
+/// loser-tree path ([`tournament_merge`]); longer runs take the pairwise
+/// data plane ([`pairwise_merge`]). A measured crossover, not a knob
+/// (`kernel_bench --merge-crossover`, DESIGN.md §10): over k = 4…4096 and
+/// uniform, few-distinct and Zipf keys the pairwise path lost cells at 2
+/// and 4 elements per run and won every cell from 8 up. Below it the
+/// pairwise tree's `⌈lg k⌉` passes and per-pair calls cost more than the
+/// tree's replays; SPMS bucket merges (about `√n` segments of about one
+/// key each) live there.
+const PAIRWISE_MIN_AVG_RUN: usize = 8;
+
+/// Merge `runs` into the exactly-sized slice `out`, returning the
+/// comparison count of the merge schedule.
+///
+/// The schedule — the unit every ledger charges — is a pair pre-merge of
+/// adjacent short runs (see [`premerge_plan`]) followed by a loser tree
+/// over the resulting leaves. How the host produces the output is a
+/// separate choice:
+///
+/// * runs averaging at least [`PAIRWISE_MIN_AVG_RUN`] elements take
+///   [`pairwise_merge`]: the count is derived exactly from the sorted runs
+///   ([`schedule_comparisons`]) and the data is merged by a pairwise tree
+///   of the streaming two-way kernel;
+/// * shorter runs take [`tournament_merge`], which executes the schedule
+///   and counts as it goes.
+///
+/// Both paths emit the identical sequence (stable: ties go to the lower
+/// run index) and return the identical count, with SIMD dispatch on or
+/// off.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let total = fitted_total(runs, out);
     match runs.len() {
         0 => 0,
         1 => {
-            out.extend_from_slice(runs[0]);
+            out.copy_from_slice(runs[0]);
             0
         }
-        2 => {
-            // Two-way fast path.
-            let (a, b) = (runs[0], runs[1]);
-            let (mut i, mut j) = (0, 0);
-            let mut cmps = 0;
-            while i < a.len() && j < b.len() {
-                cmps += 1;
-                if a[i] <= b[j] {
-                    out.push(a[i]);
-                    i += 1;
-                } else {
-                    out.push(b[j]);
-                    j += 1;
-                }
+        k if total < PAIRWISE_MIN_AVG_RUN * k => tournament_merge(runs, out),
+        _ => pairwise_merge(runs, out),
+    }
+}
+
+fn fitted_total<T>(runs: &[&[T]], out: &[T]) -> usize {
+    let total: usize = runs.iter().map(|r| r.len()).sum();
+    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
+    total
+}
+
+/// The loser-tree path of [`merge_into_slice`]: execute the schedule and
+/// count as it runs. Pair pre-merges run on the streaming pair kernel
+/// (4-wide bitonic network when SIMD dispatch is active) and are charged
+/// the analytic two-way merge count
+/// ([`crate::kernels::simd::pair_merge_cost`]); the loser tree then plays
+/// over the halved run set, and a final-run tail is bulk-copied once its
+/// last competitor exhausts.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn tournament_merge<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    let total = fitted_total(runs, out);
+    let leaves = premerge_plan(runs);
+    let paired = |l: &std::ops::Range<usize>| l.len() == 2;
+    let paired_total: usize = leaves
+        .iter()
+        .filter(|l| paired(l))
+        .map(|l| runs[l.clone()].iter().map(|r| r.len()).sum::<usize>())
+        .sum();
+    let mut cmps = 0u64;
+    let mut buf: Vec<T> = vec![T::default(); paired_total];
+    let mut rest: &mut [T] = &mut buf;
+    for l in leaves.iter().filter(|l| paired(l)) {
+        let (a, b) = (runs[l.start], runs[l.start + 1]);
+        let (dst, next) = rest.split_at_mut(a.len() + b.len());
+        crate::kernels::simd::merge_pair(a, b, dst);
+        cmps += crate::kernels::simd::pair_merge_cost(a, b);
+        rest = next;
+    }
+    let mut off = 0usize;
+    let tree_runs: Vec<&[T]> = leaves
+        .iter()
+        .map(|l| {
+            if paired(l) {
+                let len = runs[l.start].len() + runs[l.start + 1].len();
+                off += len;
+                &buf[off - len..off]
+            } else {
+                runs[l.start]
             }
-            out.extend_from_slice(&a[i..]);
-            out.extend_from_slice(&b[j..]);
-            if cmps > 0 {
-                tlmm_telemetry::counter!("core.losertree.comparisons").add(cmps);
-            }
-            cmps
+        })
+        .collect();
+    let mut lt = LoserTree::new(tree_runs);
+    let mut emitted = 0usize;
+    while emitted < total {
+        // Once a single run remains, stream its tail with one bulk copy
+        // instead of lg(k) tree replays per element. The check is O(1) via
+        // the live-leaf counter.
+        if lt.live == 1 {
+            let r = lt.root.expect("live leaf must be the winner").1 as usize;
+            let tail = &lt.runs[r][lt.pos[r]..];
+            out[emitted..].copy_from_slice(tail);
+            lt.pos[r] = lt.runs[r].len();
+            lt.root = None;
+            lt.live = 0;
+            break;
         }
+        let v = lt.next_element().expect("run length accounting broken");
+        out[emitted] = v;
+        emitted += 1;
+    }
+    cmps + lt.comparisons()
+}
+
+/// The pairwise path of [`merge_into_slice`]: the two planes run apart.
+///
+/// * **Accounting plane** — [`schedule_comparisons`] derives the count
+///   [`tournament_merge`] would return, exactly, from the sorted runs.
+///   The loser-tree part is added to `core.losertree.comparisons`, as the
+///   tree itself would have.
+/// * **Data plane** — a pairwise tree of
+///   [`crate::kernels::simd::merge_pair`]: pass 1 merges adjacent run
+///   pairs, later passes ping-pong between `out` and one temporary buffer
+///   (parity chosen so the last pass writes `out`). Merging adjacent runs
+///   with ties to the lower index yields the same stable order as the
+///   loser tree's leaf-order tie-break.
+///
+/// # Panics
+/// Panics if `out.len()` differs from the total run length.
+pub fn pairwise_merge<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
+    fitted_total(runs, out);
+    let cost = schedule_comparisons(runs);
+    if cost.tree > 0 {
+        tlmm_telemetry::counter!("core.losertree.comparisons").add(cost.tree);
+    }
+    merge_pairwise(runs, out);
+    cost.pair + cost.tree
+}
+
+/// Pairwise merge tree over the non-empty `runs` into `out`.
+fn merge_pairwise<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) {
+    let runs: Vec<&[T]> = runs.iter().copied().filter(|r| !r.is_empty()).collect();
+    if runs.len() <= 1 {
+        if let Some(r) = runs.first() {
+            out.copy_from_slice(r);
+        }
+        return;
+    }
+    let passes = runs.len().next_power_of_two().trailing_zeros();
+    let mut tmp: Vec<T> = if passes > 1 {
+        vec![T::default(); out.len()]
+    } else {
+        Vec::new()
+    };
+    // Where the current segments live: odd pass counts start in `out`, so
+    // the last pass always lands there.
+    let mut in_out = passes % 2 == 1;
+    let mut bounds = Vec::with_capacity(runs.len().div_ceil(2) + 1);
+    bounds.push(0usize);
+    let dst: &mut [T] = if in_out { &mut *out } else { &mut tmp };
+    for pair in runs.chunks(2) {
+        let lo = *bounds.last().expect("seeded");
+        let hi = lo + pair.iter().map(|r| r.len()).sum::<usize>();
+        merge_two(
+            pair[0],
+            pair.get(1).copied().unwrap_or(&[]),
+            &mut dst[lo..hi],
+        );
+        bounds.push(hi);
+    }
+    while bounds.len() > 2 {
+        let (src, dst): (&[T], &mut [T]) = if in_out {
+            (&*out, &mut tmp)
+        } else {
+            (&tmp, &mut *out)
+        };
+        let segs = bounds.len() - 1;
+        let mut next = Vec::with_capacity(segs.div_ceil(2) + 1);
+        next.push(0usize);
+        for j in (0..segs).step_by(2) {
+            let (lo, mid, hi) = (bounds[j], bounds[j + 1], bounds[(j + 2).min(segs)]);
+            merge_two(&src[lo..mid], &src[mid..hi], &mut dst[lo..hi]);
+            next.push(hi);
+        }
+        bounds = next;
+        in_out = !in_out;
+    }
+    debug_assert!(in_out, "the last pass must write `out`");
+}
+
+/// Two-way merge step of the data plane: runs already in order (or a lone
+/// run) are copied, anything else goes through the pair kernel.
+fn merge_two<T: crate::SortElem>(a: &[T], b: &[T], out: &mut [T]) {
+    match (a.last(), b.first()) {
+        (Some(x), Some(y)) if x > y => crate::kernels::simd::merge_pair(a, b, out),
         _ => {
-            let mut lt = LoserTree::new(runs.to_vec());
-            while let Some(v) = lt.next_element() {
-                out.push(v);
-            }
-            lt.comparisons()
+            let (oa, ob) = out.split_at_mut(a.len());
+            oa.copy_from_slice(a);
+            ob.copy_from_slice(b);
         }
     }
 }
 
-/// Merge `runs` into the exactly-sized slice `out`, returning comparisons.
-/// The output is written in place — no per-element capacity checks, and a
-/// final-run tail is bulk-copied once its last competitor exhausts.
-///
-/// With four or more runs, adjacent runs no longer than [`PREMERGE_MAX`]
-/// (and not flagged [`duplicate_heavy`], where the tree's guarded-store
-/// streaks win) are first two-way merged by the streaming pair kernel (4-wide bitonic
-/// network when SIMD dispatch is active), and the loser tree plays over
-/// the halved run set. Pair merges are charged the *analytic* two-way
-/// merge comparison count ([`crate::kernels::simd::pair_merge_cost`]), so
-/// the returned total — and every ledger built from it — is identical
-/// whichever kernel executed. The emitted sequence is unchanged too:
-/// pair-merging adjacent runs with lower-index tie preference composes
-/// with the tree's leaf-order tie-breaking.
-///
-/// # Panics
-/// Panics if `out.len()` differs from the total run length.
+/// The leaves of the merge schedule's loser tree, as ranges of run
+/// indices: with four or more runs, adjacent runs no longer than
+/// [`PREMERGE_MAX`] and not [`duplicate_heavy`] are paired left to right
+/// (a two-element range, pre-merged by the pair kernel); every other run
+/// is a leaf of its own. The plan reads only the data, so it is identical
+/// across SIMD dispatch and thread counts.
+pub(crate) fn premerge_plan<T: Ord>(runs: &[&[T]]) -> Vec<std::ops::Range<usize>> {
+    if runs.len() < 4 {
+        return (0..runs.len()).map(|i| i..i + 1).collect();
+    }
+    let eligible: Vec<bool> = runs
+        .iter()
+        .map(|r| r.len() <= PREMERGE_MAX && !duplicate_heavy(r))
+        .collect();
+    let mut leaves = Vec::with_capacity(runs.len());
+    let mut i = 0usize;
+    while i < runs.len() {
+        let width = if i + 1 < runs.len() && eligible[i] && eligible[i + 1] {
+            2
+        } else {
+            1
+        };
+        leaves.push(i..i + width);
+        i += width;
+    }
+    leaves
+}
+
 /// Plateau probe for the pair pre-merge: `true` when sampled positions of
 /// the sorted run sit inside equal-key plateaus at least [`PLATEAU_GAP`]
 /// long. Such runs feed the loser tree long winner streaks that its
 /// guarded store policy turns into near-free replay steps, while the pair
 /// kernel does fixed work per element regardless — so duplicate-heavy
-/// runs skip pre-merging. The decision reads only the data, so it is
-/// identical across SIMD dispatch and thread counts, and the charged
-/// comparison total is unchanged either way (the pair cost is the exact
-/// analytic tree-node equivalent).
+/// runs skip pre-merging. A skipped run shifts the pairing of the runs
+/// after it, so the schedule's count is not a plain loser tree's; the
+/// accounting plane follows the plan, not the tree.
 fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
     const PROBES: usize = 4;
     if r.len() < PLATEAU_GAP * PROBES {
@@ -417,106 +614,27 @@ fn duplicate_heavy<T: Ord>(r: &[T]) -> bool {
 /// the pair kernel's fixed per-element work (see [`duplicate_heavy`]).
 const PLATEAU_GAP: usize = 32;
 
-pub fn merge_into_slice<T: crate::SortElem>(runs: &[&[T]], out: &mut [T]) -> u64 {
-    let total: usize = runs.iter().map(|r| r.len()).sum();
-    assert_eq!(out.len(), total, "output slice must fit the merge exactly");
-    match runs.len() {
-        0 => 0,
-        1 => {
-            out.copy_from_slice(runs[0]);
-            0
-        }
-        _ => {
-            // Plan the pair pre-merge: walk left to right pairing adjacent
-            // short runs; `true` marks "paired with the next run".
-            let mut plan: Vec<(usize, bool)> = Vec::new();
-            let mut paired_total = 0usize;
-            if runs.len() >= 4 {
-                let dup: Vec<bool> = runs.iter().map(|r| duplicate_heavy(r)).collect();
-                let mut i = 0usize;
-                while i < runs.len() {
-                    if i + 1 < runs.len()
-                        && runs[i].len() <= PREMERGE_MAX
-                        && runs[i + 1].len() <= PREMERGE_MAX
-                        && !dup[i]
-                        && !dup[i + 1]
-                    {
-                        plan.push((i, true));
-                        paired_total += runs[i].len() + runs[i + 1].len();
-                        i += 2;
-                    } else {
-                        plan.push((i, false));
-                        i += 1;
-                    }
-                }
-            }
-            let mut cmps = 0u64;
-            let mut buf: Vec<T> = Vec::new();
-            let mut tree_runs: Vec<&[T]> = Vec::new();
-            if plan.iter().any(|&(_, paired)| paired) {
-                buf.resize(paired_total, T::default());
-                let mut rest: &mut [T] = &mut buf;
-                for &(i, paired) in &plan {
-                    if paired {
-                        let (a, b) = (runs[i], runs[i + 1]);
-                        let (dst, next) = rest.split_at_mut(a.len() + b.len());
-                        crate::kernels::simd::merge_pair(a, b, dst);
-                        cmps += crate::kernels::simd::pair_merge_cost(a, b);
-                        rest = next;
-                    }
-                }
-                let mut off = 0usize;
-                for &(i, paired) in &plan {
-                    if paired {
-                        let len = runs[i].len() + runs[i + 1].len();
-                        tree_runs.push(&buf[off..off + len]);
-                        off += len;
-                    } else {
-                        tree_runs.push(runs[i]);
-                    }
-                }
-            }
-            let tree_over: &[&[T]] = if tree_runs.is_empty() {
-                runs
-            } else {
-                &tree_runs
-            };
-            let mut lt = LoserTree::new(tree_over.to_vec());
-            let mut emitted = 0usize;
-            while emitted < total {
-                // Once a single run remains, stream its tail with one bulk
-                // copy instead of lg(k) tree replays per element. The check
-                // is O(1) via the live-leaf counter.
-                if lt.live == 1 {
-                    let r = lt.root.expect("live leaf must be the winner").1 as usize;
-                    let tail = &lt.runs[r][lt.pos[r]..];
-                    out[emitted..].copy_from_slice(tail);
-                    lt.pos[r] = lt.runs[r].len();
-                    lt.root = None;
-                    lt.live = 0;
-                    break;
-                }
-                let v = lt.next_element().expect("run length accounting broken");
-                out[emitted] = v;
-                emitted += 1;
-            }
-            cmps + lt.comparisons()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kernels::reference::ReferenceLoserTree;
 
-    fn check_merge(runs: Vec<Vec<u64>>) {
+    /// Merge through both paths: same sorted output, same count, and the
+    /// count equals the accounting plane's.
+    fn check_merge(runs: Vec<Vec<u64>>) -> u64 {
         let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut out = Vec::new();
-        merge_into(&refs, &mut out);
         let mut expect: Vec<u64> = runs.concat();
         expect.sort_unstable();
-        assert_eq!(out, expect);
+        let mut a = vec![0u64; expect.len()];
+        let mut b = vec![0u64; expect.len()];
+        let ca = tournament_merge(&refs, &mut a);
+        let cb = pairwise_merge(&refs, &mut b);
+        assert_eq!(a, expect);
+        assert_eq!(b, expect);
+        assert_eq!(ca, cb, "planes disagree on {runs:?}");
+        let cost = schedule_comparisons(&refs);
+        assert_eq!(ca, cost.pair + cost.tree);
+        ca
     }
 
     #[test]
@@ -566,9 +684,7 @@ mod tests {
         let runs: Vec<Vec<u64>> = (0..k)
             .map(|i| (0..n_per).map(|j| (j * k + i) as u64).collect())
             .collect();
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut out = Vec::new();
-        let cmps = merge_into(&refs, &mut out);
+        let cmps = check_merge(runs);
         let n = (k * n_per) as u64;
         // lg 16 = 4 comparisons per element, plus lower-order build cost.
         assert!(cmps <= n * 4 + 64, "cmps={cmps}, n={n}");
@@ -600,14 +716,64 @@ mod tests {
     }
 
     #[test]
-    fn merge_into_slice_matches_vec_variant() {
-        let runs = [vec![1u64, 5, 9], vec![2, 6], vec![0, 7, 8]];
-        let refs: Vec<&[u64]> = runs.iter().map(|r| r.as_slice()).collect();
-        let mut v = Vec::new();
-        merge_into(&refs, &mut v);
-        let mut s = vec![0u64; 8];
-        merge_into_slice(&refs, &mut s);
-        assert_eq!(v, s);
+    fn planes_agree_on_plateau_runs_and_shifted_pairing() {
+        // A duplicate-heavy run in the middle is left out of the pairing,
+        // shifting every pair after it; runs past PREMERGE_MAX are never
+        // paired. The accounting plane must follow the plan exactly.
+        let plateau: Vec<u64> = (0..600u64).map(|i| i / 100 * 10).collect();
+        let mut runs: Vec<Vec<u64>> = vec![
+            (0..300).map(|i| i * 3).collect(),
+            plateau.clone(),
+            (0..200).map(|i| i * 7 + 1).collect(),
+            (0..250).map(|i| i * 2).collect(),
+            plateau,
+            vec![],
+            (0..90).collect(),
+        ];
+        runs.push((0..PREMERGE_MAX as u64 + 5).collect());
+        runs.push((0..400).map(|i| i * 5).collect());
+        assert!(
+            premerge_plan(&runs.iter().map(Vec::as_slice).collect::<Vec<_>>())
+                .iter()
+                .any(|l| l.start % 2 == 1 && l.len() == 2)
+        );
+        check_merge(runs);
+    }
+
+    #[test]
+    fn stable_on_ties_through_the_pairwise_plane() {
+        // Equal keys from different runs must come out in run order on the
+        // data plane too (the scalar pair kernel is stable).
+        #[derive(Clone, Copy, Eq, Debug, Default)]
+        struct E(u64, u8);
+        impl PartialEq for E {
+            fn eq(&self, o: &Self) -> bool {
+                self.0 == o.0
+            }
+        }
+        impl Ord for E {
+            fn cmp(&self, o: &Self) -> std::cmp::Ordering {
+                self.0.cmp(&o.0)
+            }
+        }
+        impl PartialOrd for E {
+            fn partial_cmp(&self, o: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(o))
+            }
+        }
+        let runs: Vec<Vec<E>> = (0..5u8)
+            .map(|r| (0..200u64).map(|i| E(i / 3, r)).collect())
+            .collect();
+        let refs: Vec<&[E]> = runs.iter().map(Vec::as_slice).collect();
+        let mut a = vec![E::default(); 1000];
+        let mut b = vec![E::default(); 1000];
+        assert_eq!(
+            tournament_merge(&refs, &mut a),
+            pairwise_merge(&refs, &mut b)
+        );
+        let tagged = |v: &[E]| v.iter().map(|e| (e.0, e.1)).collect::<Vec<_>>();
+        assert_eq!(tagged(&a), tagged(&b));
+        assert!(tagged(&a).windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -17,9 +17,10 @@ use crate::SortElem;
 use tlmm_scratchpad::trace::with_lane;
 
 /// Merge `segments` (each sorted) into `out`, split into up to `ways`
-/// independent parts. Parts are charged to virtual lanes `0..ways`; with
-/// `threads` > 1 they fan out on the sized worker pool. Returns total
-/// comparisons.
+/// independent parts (see [`split_parts`]). Parts are charged to virtual
+/// lanes `0..ways`; with `threads` > 1 they fan out on the sized worker
+/// pool. Returns total comparisons: the sum of each part's
+/// [`merge_into_slice`] count.
 ///
 /// # Panics
 /// Panics if `out.len()` differs from the total segment length.
@@ -32,8 +33,49 @@ pub fn parallel_merge<T: SortElem>(
     let total: usize = segments.iter().map(|s| s.len()).sum();
     assert_eq!(out.len(), total, "output must fit the merge exactly");
     let ways = ways.max(1);
-    if ways == 1 || total < 4 * ways || segments.len() <= 1 {
+    let Some(parts) = split_parts(segments, ways) else {
         return merge_into_slice(segments, out);
+    };
+
+    // --- Carve `out` and merge each part ------------------------------
+    let mut out_slices: Vec<&mut [T]> = Vec::with_capacity(parts.len());
+    let mut rest = out;
+    for p in &parts {
+        let (a, b) = rest.split_at_mut(p.iter().map(|s| s.len()).sum());
+        out_slices.push(a);
+        rest = b;
+    }
+
+    let merge_part = |(t, (part, out)): (usize, (&Vec<&[T]>, &mut [T]))| -> u64 {
+        with_lane(t % ways, || merge_into_slice(part, out))
+    };
+
+    if threads > 1 {
+        let items: Vec<(&Vec<&[T]>, &mut [T])> = parts.iter().zip(out_slices).collect();
+        crate::pool::map_indexed(threads, items, |t, po| merge_part((t, po)))
+            .into_iter()
+            .sum()
+    } else {
+        parts
+            .iter()
+            .zip(out_slices)
+            .enumerate()
+            .map(merge_part)
+            .sum()
+    }
+}
+
+/// The disjoint, ordered parts [`parallel_merge`] merges independently:
+/// part `t` holds, from every segment, the elements between splitters
+/// `t−1` and `t`. `None` when the merge runs as one part (`ways == 1`,
+/// fewer than `4·ways` elements, or at most one segment).
+pub fn split_parts<'a, T: SortElem>(
+    segments: &[&'a [T]],
+    ways: usize,
+) -> Option<Vec<Vec<&'a [T]>>> {
+    let total: usize = segments.iter().map(|s| s.len()).sum();
+    if ways <= 1 || total < 4 * ways || segments.len() <= 1 {
+        return None;
     }
 
     // --- Sample splitter values -------------------------------------
@@ -67,49 +109,19 @@ pub fn parallel_merge<T: SortElem>(
     boundaries.push(segments.iter().map(|seg| seg.len()).collect());
 
     // --- Build disjoint part descriptors -----------------------------
-    struct Part<'a, T> {
-        subs: Vec<&'a [T]>,
-        len: usize,
-    }
-    let mut parts: Vec<Part<'_, T>> = Vec::with_capacity(boundaries.len());
+    let mut parts = Vec::with_capacity(boundaries.len());
     let mut prev: Vec<usize> = vec![0; segments.len()];
     for b in &boundaries {
-        let subs: Vec<&[T]> = segments
-            .iter()
-            .zip(prev.iter().zip(b.iter()))
-            .map(|(seg, (&lo, &hi))| &seg[lo..hi])
-            .collect();
-        let len = subs.iter().map(|s| s.len()).sum();
-        parts.push(Part { subs, len });
+        parts.push(
+            segments
+                .iter()
+                .zip(prev.iter().zip(b.iter()))
+                .map(|(seg, (&lo, &hi))| &seg[lo..hi])
+                .collect(),
+        );
         prev.clone_from(b);
     }
-
-    // --- Carve `out` and merge each part ------------------------------
-    let mut out_slices: Vec<&mut [T]> = Vec::with_capacity(parts.len());
-    let mut rest = out;
-    for p in &parts {
-        let (a, b) = rest.split_at_mut(p.len);
-        out_slices.push(a);
-        rest = b;
-    }
-
-    let merge_part = |(t, (part, out)): (usize, (&Part<'_, T>, &mut [T]))| -> u64 {
-        with_lane(t % ways, || merge_into_slice(&part.subs, out))
-    };
-
-    if threads > 1 {
-        let items: Vec<(&Part<'_, T>, &mut [T])> = parts.iter().zip(out_slices).collect();
-        crate::pool::map_indexed(threads, items, |t, po| merge_part((t, po)))
-            .into_iter()
-            .sum()
-    } else {
-        parts
-            .iter()
-            .zip(out_slices)
-            .enumerate()
-            .map(merge_part)
-            .sum()
-    }
+    Some(parts)
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@ use tlmm_core::SortError;
 use tlmm_model::admission::{shrink_to_fit, AdmissionEstimate};
 use tlmm_model::params::ParamError;
 use tlmm_model::{Engine, ScratchpadParams};
-use tlmm_scratchpad::{CancelToken, ExecConfig, ExecConfigError, Executor, TwoLevel};
+use tlmm_scratchpad::{splitmix64, CancelToken, ExecConfig, ExecConfigError, Executor, TwoLevel};
 use tlmm_workloads::{generate, Workload};
 
 /// Element size every service job sorts (the repo's workloads are u64).
@@ -720,9 +720,10 @@ impl<'a> Sched<'a> {
             self.tl
                 .install_cancel(CancelToken::with_unit_budget(budget));
         }
-        let input = self
-            .tl
-            .far_from_vec(generate(Workload::UniformU64, j.n, j.seed));
+        let keys = generate(Workload::UniformU64, j.n, j.seed);
+        let fp = Fingerprint::of(&keys);
+        let input = self.tl.far_from_vec(keys);
+        let check = |out: &[u64]| verify(out, fp);
         let lanes = slots as usize;
         let result: Result<(), SortError> = match j.engine {
             Engine::NmSort | Engine::NmSortDma => {
@@ -733,7 +734,7 @@ impl<'a> Sched<'a> {
                     use_dma: j.engine == Engine::NmSortDma,
                     ..Default::default()
                 };
-                nmsort(&self.tl, input, &cfg).and_then(|r| verify(r.output.as_slice_uncharged()))
+                nmsort(&self.tl, input, &cfg).and_then(|r| check(r.output.as_slice_uncharged()))
             }
             Engine::Baseline => {
                 let cfg = BaselineConfig {
@@ -742,7 +743,7 @@ impl<'a> Sched<'a> {
                     ..Default::default()
                 };
                 baseline_sort(&self.tl, input, &cfg)
-                    .and_then(|r| verify(r.output.as_slice_uncharged()))
+                    .and_then(|r| check(r.output.as_slice_uncharged()))
             }
             Engine::Spms | Engine::SquareSort => {
                 let cfg = ObliviousConfig {
@@ -755,7 +756,7 @@ impl<'a> Sched<'a> {
                 } else {
                     squaresort_sort(&self.tl, input, &cfg)
                 };
-                run.and_then(|(out, _)| verify(out.as_slice_uncharged()))
+                run.and_then(|(out, _)| check(out.as_slice_uncharged()))
             }
         };
         self.tl.clear_cancel();
@@ -885,19 +886,67 @@ impl<'a> Sched<'a> {
     }
 }
 
-fn verify(out: &[u64]) -> Result<(), SortError> {
-    if out.windows(2).all(|w| w[0] <= w[1]) {
-        Ok(())
-    } else {
+/// Order-independent fingerprint of a multiset of keys: length, wrapping
+/// sum and wrapping sum of mixed keys. A dropped, duplicated or altered key
+/// changes it (the mixed sum with overwhelming probability).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Fingerprint {
+    len: usize,
+    sum: u64,
+    mixed: u64,
+}
+
+impl Fingerprint {
+    fn of(keys: &[u64]) -> Self {
+        keys.iter().fold(
+            Fingerprint {
+                len: keys.len(),
+                sum: 0,
+                mixed: 0,
+            },
+            |f, &x| Fingerprint {
+                sum: f.sum.wrapping_add(x),
+                mixed: f.mixed.wrapping_add(splitmix64(x)),
+                ..f
+            },
+        )
+    }
+}
+
+/// A job's output must be in order and a permutation of its input
+/// (`input` is the input's fingerprint). Host-side only: charges nothing.
+fn verify(out: &[u64], input: Fingerprint) -> Result<(), SortError> {
+    if !out.windows(2).all(|w| w[0] <= w[1]) {
         Err(SortError::BadConfig {
             reason: "service job produced unsorted output",
         })
+    } else if Fingerprint::of(out) != input {
+        Err(SortError::BadConfig {
+            reason: "service job output is not a permutation of its input",
+        })
+    } else {
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn verify_rejects_reordered_dropped_and_duplicated_keys() {
+        let input = [5u64, 1, 9, 3, 3];
+        let fp = Fingerprint::of(&input);
+        assert!(verify(&[1, 3, 3, 5, 9], fp).is_ok());
+        assert!(verify(&[1, 3, 5, 3, 9], fp).is_err(), "unsorted");
+        assert!(verify(&[1, 3, 5, 9], fp).is_err(), "dropped key");
+        assert!(verify(&[1, 3, 3, 5, 9, 9], fp).is_err(), "duplicated key");
+        assert!(
+            verify(&[1, 3, 5, 5, 9], fp).is_err(),
+            "key replaced by a duplicate"
+        );
+        assert!(verify(&[1, 3, 3, 5, 8], fp).is_err(), "altered key");
+    }
 
     fn small_cfg() -> ServiceConfig {
         ServiceConfig {
