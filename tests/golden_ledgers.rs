@@ -8,10 +8,19 @@
 //! seeds. Arbitration may reorder and delay transfers but must never
 //! change a single charged byte.
 //!
+//! The two NMsort goldens also pin the full `PhaseTrace` of the
+//! executor-free run (`<name>.trace.json`): phase order and names, per-lane
+//! work, `overlappable` flags and fault counts. A third trace golden pins a
+//! multi-chunk DMA-pipelined run under a fault plan that aborts DMA issues
+//! and fails/delays far→near transfers, so every rung of the Phase-1
+//! ingest ladder (overlapped issue, sync fallback, re-stage, forced copy)
+//! is fixed too.
+//!
 //! Regenerate after an *intentional* accounting change with:
 //! `TLMM_BLESS=1 cargo test --test golden_ledgers`
 
 use two_level_mem::prelude::*;
+use two_level_mem::scratchpad::PhaseTrace;
 
 const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
 const N: usize = 30_000;
@@ -25,8 +34,12 @@ fn input() -> Vec<u64> {
     generate(Workload::UniformU64, N, DATA_SEED)
 }
 
-/// Run one canonical sorter configuration, optionally under an executor.
-fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> CostSnapshot {
+/// Run one canonical sorter configuration, optionally under an executor;
+/// returns the ledger snapshot and the phase trace.
+fn run_sorter(
+    name: &str,
+    exec: Option<tlmm_scratchpad::ExecConfig>,
+) -> (CostSnapshot, PhaseTrace) {
     let tl = tl();
     if let Some(cfg) = exec {
         tl.install_executor(cfg).unwrap();
@@ -121,7 +134,7 @@ fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> CostSnap
         }
         other => panic!("unknown sorter {other}"),
     }
-    tl.ledger().snapshot()
+    (tl.ledger().snapshot(), tl.take_trace())
 }
 
 fn assert_sorted(v: &[u64]) {
@@ -134,6 +147,22 @@ fn assert_sorted(v: &[u64]) {
 /// round-trip — see `tlmm_testkit::check_golden`.
 fn check_against_golden(name: &str, snap: &CostSnapshot, context: &str) {
     tlmm_testkit::check_golden(&tlmm_testkit::golden_path(GOLDEN_DIR, name), snap, context);
+}
+
+/// Render a trace as a JSON array with one phase per line, so a golden
+/// diff points at the phase that moved.
+fn render_trace(trace: &PhaseTrace) -> String {
+    let phases: Vec<String> = trace
+        .phases
+        .iter()
+        .map(|p| serde::json::to_string(p).expect("phase serializes"))
+        .collect();
+    format!("[\n{}\n]", phases.join(",\n"))
+}
+
+fn check_trace_golden(name: &str, trace: &PhaseTrace) {
+    let path = tlmm_testkit::golden_path(GOLDEN_DIR, &format!("{name}.trace"));
+    tlmm_testkit::check_golden_str(&path, &render_trace(trace), "no executor");
 }
 
 const SORTERS: [&str; 7] = [
@@ -149,9 +178,56 @@ const SORTERS: [&str; 7] = [
 #[test]
 fn all_sorters_match_their_golden_ledgers() {
     for name in SORTERS {
-        let snap = run_sorter(name, None);
+        let (snap, _) = run_sorter(name, None);
         check_against_golden(name, &snap, "no executor");
     }
+}
+
+#[test]
+fn nmsort_traces_match_their_goldens() {
+    for name in ["nmsort", "nmsort_dma"] {
+        let (_, trace) = run_sorter(name, None);
+        check_trace_golden(name, &trace);
+    }
+}
+
+#[test]
+fn faulted_dma_pipeline_trace_matches_its_golden() {
+    // Five chunks, so the DMA pipeline primes chunk 0 and overlaps the
+    // ingest of chunks 1..4 with the sort of their predecessor. The plan
+    // aborts two DMA issues (sync fallback), fails the first four
+    // far→near preflights (the priming ingest exhausts its re-stage budget
+    // and is forced through), and delays a share of transfers.
+    let tl = tl();
+    let mut plan = FaultPlan::none(0x7EA5)
+        .fail_kth(FaultOp::DmaIssue, 1)
+        .fail_kth(FaultOp::DmaIssue, 4);
+    for k in 0..4 {
+        plan = plan.fail_kth(FaultOp::FarToNear, k);
+    }
+    plan.transfer_delay_permille = 250;
+    tl.install_fault_plan(plan);
+    let far = tl.far_from_vec(input());
+    let r = two_level_mem::core::nmsort::nmsort(
+        &tl,
+        far,
+        &NmSortConfig {
+            sim_lanes: 8,
+            threads: 1,
+            use_dma: true,
+            chunk_elems: Some(N / 5),
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_sorted(r.output.as_slice_uncharged());
+    assert_eq!(r.chunks, 5);
+    let d = r.degradations;
+    assert!(d.dma_fallbacks > 0, "{d:?}");
+    assert!(d.transfer_retries > 0, "{d:?}");
+    assert!(d.forced_ops > 0, "{d:?}");
+    assert!(d.transfer_delays > 0, "{d:?}");
+    check_trace_golden("nmsort_dma_faulted", &tl.take_trace());
 }
 
 #[test]
@@ -161,7 +237,7 @@ fn golden_ledgers_replay_across_workers_and_seeds() {
             for seed in [1u64, 42] {
                 let slots = p.min(2);
                 let exec = tlmm_scratchpad::ExecConfig::deterministic(p, slots, seed);
-                let snap = run_sorter(name, Some(exec));
+                let (snap, _) = run_sorter(name, Some(exec));
                 check_against_golden(name, &snap, &format!("p={p} p'={slots} seed={seed}"));
             }
         }
@@ -174,7 +250,7 @@ fn golden_ledgers_replay_under_fully_serialized_arbiter() {
     // slot — the sequential-engine equivalence of the acceptance criteria.
     for name in SORTERS {
         let exec = tlmm_scratchpad::ExecConfig::deterministic(8, 1, 7);
-        let snap = run_sorter(name, Some(exec));
+        let (snap, _) = run_sorter(name, Some(exec));
         check_against_golden(name, &snap, "p=8 p'=1");
     }
 }
