@@ -29,11 +29,12 @@ use crate::quicksort::external_quicksort;
 use crate::sample::{draw_pivots, PivotSample};
 use crate::{SortElem, SortError};
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use tlmm_model::CostSnapshot;
 use tlmm_scratchpad::trace::with_lane;
 use tlmm_scratchpad::{
     with_faults_suppressed, ArenaBuf, Backoff, Dir, FarArray, FaultDecision, FaultOp, NearArray,
-    RetryClass, StagingArena, TwoLevel,
+    RetryClass, StagingArena, TransferId, TwoLevel,
 };
 
 /// Which algorithm sorts each chunk inside the scratchpad (§III-A: "Other
@@ -239,17 +240,16 @@ fn charge_copy_volume(tl: &TwoLevel, kind: CopyKind, bytes: u64, lanes: usize) {
     }
 }
 
-/// A [`charged_copy`] that consults the fault injector first and re-stages
-/// on injected aborts: every aborted attempt is charged in full, bounded by
-/// the [`Backoff`] policy's `Stage` budget before the copy is forced through.
-#[allow(clippy::too_many_arguments)]
-fn staged_copy_with_retry<T: SortElem>(
+/// The fault ladder of one staged far↔near transfer of `bytes`, run on
+/// the issuing thread before the transfer itself is charged. Injected
+/// aborts are re-staged, each aborted attempt charged in full, until the
+/// [`Backoff`] policy's `Stage` budget runs out and the transfer is forced
+/// through; an injected delay charges one retransmission.
+fn stage_fault_ladder(
     tl: &TwoLevel,
     kind: CopyKind,
-    src: &[T],
-    dst: &mut [T],
+    bytes: u64,
     lanes: usize,
-    threads: usize,
     stats: &mut DegradationStats,
 ) {
     let op = match kind {
@@ -257,7 +257,6 @@ fn staged_copy_with_retry<T: SortElem>(
         CopyKind::NearToFar => FaultOp::NearToFar,
         _ => unreachable!("staged copies move between far and near"),
     };
-    let bytes = std::mem::size_of_val(src) as u64;
     let mut bo = Backoff::for_memory(tl, RetryClass::Stage);
     loop {
         match tl.preflight(op) {
@@ -268,18 +267,31 @@ fn staged_copy_with_retry<T: SortElem>(
                 } else {
                     bo.give_up();
                     stats.forced_ops += 1;
-                    break;
+                    return;
                 }
             }
             FaultDecision::Delay(_) => {
                 charge_copy_volume(tl, kind, bytes, lanes);
                 stats.transfer_delays += 1;
                 tlmm_telemetry::counter!("degradation.transfer_delay").incr();
-                break;
+                return;
             }
-            FaultDecision::Proceed => break,
+            FaultDecision::Proceed => return,
         }
     }
+}
+
+/// A [`charged_copy`] behind the [`stage_fault_ladder`].
+fn staged_copy_with_retry<T: SortElem>(
+    tl: &TwoLevel,
+    kind: CopyKind,
+    src: &[T],
+    dst: &mut [T],
+    lanes: usize,
+    threads: usize,
+    stats: &mut DegradationStats,
+) {
+    stage_fault_ladder(tl, kind, std::mem::size_of_val(src) as u64, lanes, stats);
     charged_copy(tl, kind, src, dst, lanes, threads);
 }
 
@@ -379,128 +391,168 @@ fn alloc_chunk_buffers<T: SortElem>(
     }
 }
 
-/// The preflight-and-charge half of a Phase-1 ingest, executed on the
-/// issuing thread at issue time: the full [`staged_copy_with_retry`]
-/// fault ladder plus the transfer's own charge. After this returns, the
-/// ledger, trace, and fault log are settled; the raw byte copy may run on
-/// a background worker that touches nothing but memory — which is what
-/// keeps overlapped runs byte-identical to blocking ones.
-fn ingest_issue_charges(tl: &TwoLevel, bytes: u64, lanes: usize, stats: &mut DegradationStats) {
-    let mut bo = Backoff::for_memory(tl, RetryClass::Stage);
-    loop {
-        match tl.preflight(FaultOp::FarToNear) {
-            FaultDecision::Fail(_) => {
-                charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
-                if bo.again() {
-                    stats.transfer_retries += 1;
-                } else {
-                    bo.give_up();
-                    stats.forced_ops += 1;
-                    break;
-                }
-            }
-            FaultDecision::Delay(_) => {
-                charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
-                stats.transfer_delays += 1;
-                tlmm_telemetry::counter!("degradation.transfer_delay").incr();
-                break;
-            }
-            FaultDecision::Proceed => break,
-        }
-    }
-    // The transfer itself (same totals and lane striping as the
-    // charge-half of `charged_copy`).
-    charge_copy_volume(tl, CopyKind::FarToNear, bytes, lanes);
+/// How a Phase-1 ingest moves its bytes. Every mode settles its fault
+/// preflights and ledger charges on the issuing thread at issue time, so
+/// the ledger and trace never depend on which mode ran.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mover {
+    /// A fault-laddered [`charged_copy`] before the chunk's sort: the
+    /// blocking schedule, the pipeline's priming ingest, and the sync
+    /// fallback after an injected [`FaultOp::DmaIssue`] abort.
+    Blocking,
+    /// An overlapped gather copied and retired inline at issue time (one
+    /// host thread; the overlap is simulated only).
+    Inline,
+    /// An overlapped gather whose bytes a scoped worker copies while the
+    /// current chunk sorts; retired once the sort is done.
+    Background,
 }
 
-/// The sort → writeback → bounds tail of one Phase-1 chunk iteration,
-/// shared by the blocking schedule and the DMA pipeline (where it runs
-/// while the next chunk's gather is in flight on a background worker).
-/// The caller owns the enclosing phase bracket and calls `end_phase`.
-#[allow(clippy::too_many_arguments)]
-fn p1_sort_writeback_bounds<T: SortElem>(
-    tl: &TwoLevel,
-    cfg: &NmSortConfig,
-    ext_cfg: &ExtSortConfig,
-    arena: &StagingArena,
-    sample: &PivotSample<T>,
-    chunk_buf: &mut ArenaBuf<T>,
-    scratch_buf: &mut ArenaBuf<T>,
-    sorted_chunks: &mut FarArray<T>,
-    totals_buf: &mut NearArray<u64>,
-    all_positions: &mut Vec<BucketPositions>,
-    degradations: &mut DegradationStats,
-    (lo, hi): (usize, usize),
+/// The NMsort Phase-1 chunk loop's inputs and outputs: one ingest and one
+/// sort → writeback → bounds body shared by every schedule.
+struct Phase1<'a, T> {
+    tl: &'a TwoLevel,
+    cfg: &'a NmSortConfig,
+    ext_cfg: ExtSortConfig,
+    arena: &'a StagingArena,
+    sample: &'a PivotSample<T>,
+    input: &'a [T],
+    chunk: usize,
     n_chunks: usize,
     lanes: usize,
-) {
-    let len = hi - lo;
-    let elem_sz = std::mem::size_of::<T>();
+    totals: &'a mut [u64],
+    /// Every chunk, sorted, at its input offset.
+    sorted_chunks: FarArray<T>,
+    /// Per-chunk BucketPos arrays (multi-chunk runs only).
+    positions: Vec<BucketPositions>,
+    stats: DegradationStats,
+}
 
-    tl.begin_phase("nmsort.p1.sort");
-    let sorted: &[T] = match cfg.chunk_sorter {
-        ChunkSorter::MultiwayMerge => {
-            let outcome = external_sort(
-                tl,
-                RegionLevel::Near,
-                &mut chunk_buf.as_mut_slice_uncharged()[..len],
-                &mut scratch_buf.as_mut_slice_uncharged()[..len],
-                ext_cfg,
+impl<T: SortElem> Phase1<'_, T> {
+    fn chunk_range(&self, k: usize) -> Range<usize> {
+        k * self.chunk..((k + 1) * self.chunk).min(self.input.len())
+    }
+
+    /// Open an ingest phase and gather chunk `k` into `dst`. An overlapped
+    /// mover consults [`FaultOp::DmaIssue`] first; an abort demotes the
+    /// gather to [`Mover::Blocking`] in the same phase slot (same bytes
+    /// move, only the overlap is lost). A [`Mover::Background`] gather
+    /// returns its pending transfer for the caller to fill and retire.
+    fn ingest(
+        &mut self,
+        dst: &mut ArenaBuf<T>,
+        k: usize,
+        mover: Mover,
+    ) -> Result<Option<(TransferId, Range<usize>)>, SortError> {
+        let range = self.chunk_range(k);
+        let len = range.len();
+        self.tl.begin_phase("nmsort.p1.ingest");
+        if mover == Mover::Blocking || !dma_issue_allowed(self.tl, &mut self.stats) {
+            staged_copy_with_retry(
+                self.tl,
+                CopyKind::FarToNear,
+                &self.input[range],
+                &mut dst.as_mut_slice_uncharged()[..len],
+                self.lanes,
+                self.cfg.threads,
+                &mut self.stats,
             );
-            if outcome.in_scratch {
-                &scratch_buf.as_slice_uncharged()[..len]
-            } else {
+            self.arena.note_sync_transfer();
+            return Ok(None);
+        }
+        // Overlappable: the flow engine charges max(ingest(k), sort(k-1))
+        // instead of their sum.
+        self.tl.mark_phase_overlappable();
+        let bytes = (len * std::mem::size_of::<T>()) as u64;
+        stage_fault_ladder(self.tl, CopyKind::FarToNear, bytes, self.lanes, &mut self.stats);
+        charge_copy_volume(self.tl, CopyKind::FarToNear, bytes, self.lanes);
+        let id = dst.issue(Dir::Read, bytes)?;
+        if mover == Mover::Background {
+            return Ok(Some((id, range)));
+        }
+        dst.transfer_fill(&self.input[range], 0);
+        self.arena.retire(id)?;
+        Ok(None)
+    }
+
+    /// Sort chunk `k` (resident in `chunk_buf`), write it back to DRAM and
+    /// record its bucket bounds. The caller owns the enclosing phase
+    /// bracket and calls `end_phase`.
+    fn sort_writeback_bounds(
+        &mut self,
+        k: usize,
+        chunk_buf: &mut ArenaBuf<T>,
+        scratch_buf: &mut ArenaBuf<T>,
+    ) {
+        let range = self.chunk_range(k);
+        let len = range.len();
+        let tl = self.tl;
+
+        tl.begin_phase("nmsort.p1.sort");
+        let sorted: &[T] = match self.cfg.chunk_sorter {
+            ChunkSorter::MultiwayMerge => {
+                let outcome = external_sort(
+                    tl,
+                    RegionLevel::Near,
+                    &mut chunk_buf.as_mut_slice_uncharged()[..len],
+                    &mut scratch_buf.as_mut_slice_uncharged()[..len],
+                    &self.ext_cfg,
+                );
+                if outcome.in_scratch {
+                    &scratch_buf.as_slice_uncharged()[..len]
+                } else {
+                    &chunk_buf.as_slice_uncharged()[..len]
+                }
+            }
+            ChunkSorter::Quicksort => {
+                external_quicksort(
+                    tl,
+                    RegionLevel::Near,
+                    &mut chunk_buf.as_mut_slice_uncharged()[..len],
+                    self.lanes,
+                );
                 &chunk_buf.as_slice_uncharged()[..len]
             }
+        };
+
+        tl.begin_phase("nmsort.p1.writeback");
+        if self.cfg.use_dma && dma_issue_allowed(tl, &mut self.stats) {
+            tl.mark_phase_overlappable();
         }
-        ChunkSorter::Quicksort => {
-            external_quicksort(
+        staged_copy_with_retry(
+            tl,
+            CopyKind::NearToFar,
+            sorted,
+            &mut self.sorted_chunks.as_mut_slice_uncharged()[range],
+            self.lanes,
+            self.cfg.threads,
+            &mut self.stats,
+        );
+        self.arena.note_sync_transfer();
+
+        if self.n_chunks > 1 {
+            tl.begin_phase("nmsort.p1.bounds");
+            let pos = bucket_positions(
                 tl,
                 RegionLevel::Near,
-                &mut chunk_buf.as_mut_slice_uncharged()[..len],
-                lanes,
+                sorted,
+                &self.sample.pivots,
+                self.lanes,
+                self.cfg.threads,
             );
-            &chunk_buf.as_slice_uncharged()[..len]
+            accumulate_totals(tl, self.totals, &pos, self.lanes);
+            // BucketPos for this chunk goes to DRAM (the auxiliary array of
+            // Fig. 2(c)); the write is a cooperative stream like the data
+            // transfers.
+            charge_io_striped(
+                tl,
+                RegionLevel::Far,
+                Dir::Write,
+                (pos.len() * 8) as u64,
+                self.lanes,
+            );
+            self.positions.push(pos);
         }
-    };
-
-    tl.begin_phase("nmsort.p1.writeback");
-    if cfg.use_dma && dma_issue_allowed(tl, degradations) {
-        tl.mark_phase_overlappable();
-    }
-    staged_copy_with_retry(
-        tl,
-        CopyKind::NearToFar,
-        sorted,
-        &mut sorted_chunks.as_mut_slice_uncharged()[lo..hi],
-        lanes,
-        cfg.threads,
-        degradations,
-    );
-    arena.note_sync_transfer(Dir::Write, (len * elem_sz) as u64);
-
-    if n_chunks > 1 {
-        tl.begin_phase("nmsort.p1.bounds");
-        let pos = bucket_positions(
-            tl,
-            RegionLevel::Near,
-            sorted,
-            &sample.pivots,
-            lanes,
-            cfg.threads,
-        );
-        accumulate_totals(tl, totals_buf.as_mut_slice_uncharged(), &pos, lanes);
-        // BucketPos for this chunk goes to DRAM (the auxiliary array of
-        // Fig. 2(c)); the write is a cooperative stream like the data
-        // transfers.
-        charge_io_striped(
-            tl,
-            RegionLevel::Far,
-            Dir::Write,
-            (pos.len() * 8) as u64,
-            lanes,
-        );
-        all_positions.push(pos);
     }
 }
 
@@ -599,167 +651,76 @@ pub fn nmsort<T: SortElem>(
     let mut totals_buf = near_alloc_with_retry::<u64>(tl, sample.n_buckets(), &mut degradations)?;
 
     // ---- Phase 1 --------------------------------------------------------
-    let mut sorted_chunks = tl.far_alloc::<T>(n);
-    let mut all_positions: Vec<BucketPositions> = Vec::with_capacity(n_chunks);
-    let ext_cfg = ExtSortConfig {
-        lanes,
-        threads: cfg.threads,
-        ..Default::default()
+    // DMA mode on a multi-chunk input double-buffers: chunk k+1's gather
+    // is issued before chunk k sorts. Everything else ingests chunk k
+    // itself, blocking.
+    let pipelined = geo.n_bufs == 3;
+    let mover = match (pipelined, cfg.threads > 1) {
+        (false, _) => Mover::Blocking,
+        (true, false) => Mover::Inline,
+        (true, true) => Mover::Background,
     };
-    let elem_sz = std::mem::size_of::<T>();
-    // The double-buffered DMA pipeline needs a third buffer and at least
-    // two chunks (the shrink ladder may have consumed the third buffer's
-    // headroom — then the run degrades to the blocking schedule).
-    let pipelined = cfg.use_dma && n_chunks > 1 && next_buf.is_some();
-
-    if pipelined {
-        // Prime the pipeline: the first chunk has nothing to hide behind,
-        // so its ingest is synchronous and not overlappable.
-        tl.begin_phase("nmsort.p1.ingest");
-        let hi0 = chunk.min(n);
-        staged_copy_with_retry(
-            tl,
-            CopyKind::FarToNear,
-            &input.as_slice_uncharged()[..hi0],
-            &mut chunk_buf.as_mut_slice_uncharged()[..hi0],
+    let src = input.as_slice_uncharged();
+    let mut p1 = Phase1 {
+        tl,
+        cfg,
+        ext_cfg: ExtSortConfig {
             lanes,
-            cfg.threads,
-            &mut degradations,
-        );
-        arena.note_sync_transfer(Dir::Read, (hi0 * elem_sz) as u64);
+            threads: cfg.threads,
+            ..Default::default()
+        },
+        arena: &arena,
+        sample: &sample,
+        input: src,
+        chunk,
+        n_chunks,
+        lanes,
+        totals: totals_buf.as_mut_slice_uncharged(),
+        sorted_chunks: tl.far_alloc::<T>(n),
+        positions: Vec::with_capacity(n_chunks),
+        stats: degradations,
+    };
+    if pipelined {
+        // Prime the pipeline: chunk 0 has nothing to hide behind.
+        p1.ingest(&mut chunk_buf, 0, Mover::Blocking)?;
     }
     for k in 0..n_chunks {
         // Phase boundary: cooperative cancellation / deadline check.
         tl.checkpoint()?;
-        let lo = k * chunk;
-        let hi = ((k + 1) * chunk).min(n);
-        let len = hi - lo;
-
-        if !pipelined {
-            tl.begin_phase("nmsort.p1.ingest");
-            staged_copy_with_retry(
-                tl,
-                CopyKind::FarToNear,
-                &input.as_slice_uncharged()[lo..hi],
-                &mut chunk_buf.as_mut_slice_uncharged()[..len],
-                lanes,
-                cfg.threads,
-                &mut degradations,
-            );
-            arena.note_sync_transfer(Dir::Read, (len * elem_sz) as u64);
-            p1_sort_writeback_bounds(
-                tl,
-                cfg,
-                &ext_cfg,
-                &arena,
-                &sample,
-                &mut chunk_buf,
-                &mut scratch_buf,
-                &mut sorted_chunks,
-                &mut totals_buf,
-                &mut all_positions,
-                &mut degradations,
-                (lo, hi),
-                n_chunks,
-                lanes,
-            );
-            tl.end_phase();
-            continue;
-        }
-
-        // Issue the gather of chunk k+1 *before* sorting chunk k. Every
-        // preflight and ledger charge lands on the issuing thread right
-        // here, at issue time; the background worker below only moves
-        // bytes — which is what keeps overlapped runs byte-identical to
-        // blocking ones. The phase is overlappable, so the flow engine
-        // charges max(ingest(k+1), sort(k)) instead of their sum.
-        let mut pending = None;
-        if k + 1 < n_chunks {
-            let nlo = (k + 1) * chunk;
-            let nhi = ((k + 2) * chunk).min(n);
-            let nbytes = ((nhi - nlo) * elem_sz) as u64;
-            let nb = next_buf.as_mut().expect("pipelined mode has a next buffer");
-            tl.begin_phase("nmsort.p1.ingest");
-            if dma_issue_allowed(tl, &mut degradations) {
-                tl.mark_phase_overlappable();
-                ingest_issue_charges(tl, nbytes, lanes, &mut degradations);
-                let id = nb.issue(Dir::Read, nbytes).map_err(SortError::from)?;
-                if cfg.threads > 1 {
-                    pending = Some((id, nlo, nhi));
-                } else {
-                    // One host thread: the copy runs inline at issue time.
-                    // Identical charges; the overlap is simulated only.
-                    nb.transfer_fill(&input.as_slice_uncharged()[nlo..nhi], 0);
-                    arena.retire(id).map_err(SortError::from)?;
-                }
-            } else {
-                // Injected DmaIssue abort: demoted to a blocking copy in
-                // the same phase slot — same bytes move, overlap lost.
-                staged_copy_with_retry(
-                    tl,
-                    CopyKind::FarToNear,
-                    &input.as_slice_uncharged()[nlo..nhi],
-                    &mut nb.as_mut_slice_uncharged()[..nhi - nlo],
-                    lanes,
-                    cfg.threads,
-                    &mut degradations,
-                );
-                arena.note_sync_transfer(Dir::Read, nbytes);
-            }
-        }
-
-        if let Some((id, nlo, nhi)) = pending {
-            // Sort chunk k while the gather of chunk k+1 is in flight.
-            // The read-before-retire guard on next_buf stays armed the
-            // whole time; the worker writes through the transfer path.
-            let nb = next_buf.as_mut().expect("pipelined mode has a next buffer");
-            let src = input.as_slice_uncharged();
-            std::thread::scope(|s| {
-                s.spawn(move || nb.transfer_fill(&src[nlo..nhi], 0));
-                p1_sort_writeback_bounds(
-                    tl,
-                    cfg,
-                    &ext_cfg,
-                    &arena,
-                    &sample,
-                    &mut chunk_buf,
-                    &mut scratch_buf,
-                    &mut sorted_chunks,
-                    &mut totals_buf,
-                    &mut all_positions,
-                    &mut degradations,
-                    (lo, hi),
-                    n_chunks,
-                    lanes,
-                );
-            });
-            arena.retire(id).map_err(SortError::from)?;
+        let pending = if !pipelined {
+            p1.ingest(&mut chunk_buf, k, mover)?
+        } else if k + 1 < n_chunks {
+            let nb = next_buf.as_mut().expect("pipelined geometry has a next buffer");
+            p1.ingest(nb, k + 1, mover)?
         } else {
-            p1_sort_writeback_bounds(
-                tl,
-                cfg,
-                &ext_cfg,
-                &arena,
-                &sample,
-                &mut chunk_buf,
-                &mut scratch_buf,
-                &mut sorted_chunks,
-                &mut totals_buf,
-                &mut all_positions,
-                &mut degradations,
-                (lo, hi),
-                n_chunks,
-                lanes,
-            );
+            None
+        };
+        std::thread::scope(|s| {
+            if let Some((_, range)) = pending.clone() {
+                // The worker only moves bytes; the read-before-retire guard
+                // on next_buf stays armed until the retire below.
+                let nb = next_buf.as_mut().expect("pipelined geometry has a next buffer");
+                s.spawn(move || nb.transfer_fill(&src[range], 0));
+            }
+            p1.sort_writeback_bounds(k, &mut chunk_buf, &mut scratch_buf);
+        });
+        if let Some((id, _)) = pending {
+            arena.retire(id)?;
         }
         tl.end_phase();
-        if k + 1 < n_chunks {
+        if pipelined && k + 1 < n_chunks {
             std::mem::swap(
                 &mut chunk_buf,
-                next_buf.as_mut().expect("pipelined mode has a next buffer"),
+                next_buf.as_mut().expect("pipelined geometry has a next buffer"),
             );
         }
     }
+    let Phase1 {
+        sorted_chunks,
+        positions: all_positions,
+        stats: mut degradations,
+        ..
+    } = p1;
     // Phase 2 needs only two buffers; freeing the double buffer here
     // exercises the arena's free path on every DMA run.
     drop(next_buf);
@@ -813,15 +774,12 @@ pub fn nmsort<T: SortElem>(
                     charge_copy_volume(tl, CopyKind::FarToNear, total * elem, lanes);
                     degradations.batch_fallbacks += 1;
                     tlmm_telemetry::counter!("degradation.p2_dram_direct").incr();
-                    merge_batch_from_far(
+                    merge_from_far(
                         tl,
-                        &sorted_chunks,
-                        &all_positions,
-                        &chunk_starts,
-                        (blo, bhi),
-                        &mut output,
-                        out_off,
-                        total as usize,
+                        sorted_chunks.as_slice_uncharged(),
+                        &batch_segments(&all_positions, &chunk_starts, (blo, bhi)),
+                        true,
+                        &mut output.as_mut_slice_uncharged()[out_off..out_off + total as usize],
                         lanes,
                         cfg.threads,
                     );
@@ -884,34 +842,31 @@ pub fn nmsort<T: SortElem>(
     })
 }
 
-/// Phase-2 fallback when a batch cannot be staged: merge its segments
-/// straight from DRAM into the output, never touching the scratchpad. Far
-/// traffic matches the staged path (one read + one write of the batch);
+/// Merge `segs` of `src` straight from DRAM into `out` in one
+/// `nmsort.p2.stream_far` phase, never touching the scratchpad: the
+/// Phase-2 fallback for a batch whose gather could not be staged
+/// (`read_bounds`: its BucketPos boundary pairs are read from DRAM first)
+/// and for an oversized-bucket part with too few distinct keys to split.
+/// Far traffic matches the staged path (one read + one write of the data);
 /// what is lost is the near-memory acceleration, not correctness.
-#[allow(clippy::too_many_arguments)]
-fn merge_batch_from_far<T: SortElem>(
+fn merge_from_far<T: SortElem>(
     tl: &TwoLevel,
-    sorted_chunks: &FarArray<T>,
-    all_positions: &[BucketPositions],
-    chunk_starts: &[usize],
-    bucket_range: (usize, usize),
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
+    src: &[T],
+    segs: &[(usize, usize)],
+    read_bounds: bool,
+    out: &mut [T],
     lanes: usize,
     threads: usize,
 ) {
-    let elem = std::mem::size_of::<T>() as u64;
-    let segs = batch_segments(all_positions, chunk_starts, bucket_range);
+    let bytes = std::mem::size_of_val(out) as u64;
     tl.begin_phase("nmsort.p2.stream_far");
-    let src = sorted_chunks.as_slice_uncharged();
-    // Reading each chunk's BucketPos boundary pair from DRAM.
-    tl.charge_far_random(Dir::Read, 2 * segs.len() as u64, 16 * segs.len() as u64);
+    if read_bounds {
+        tl.charge_far_random(Dir::Read, 2 * segs.len() as u64, 16 * segs.len() as u64);
+    }
     let seg_slices: Vec<&[T]> = segs.iter().map(|&(a, b)| &src[a..b]).collect();
-    let out = &mut output.as_mut_slice_uncharged()[out_off..out_off + total];
     let cmps = parallel_merge(&seg_slices, out, lanes, threads);
-    charge_io_striped(tl, RegionLevel::Far, Dir::Read, total as u64 * elem, lanes);
-    charge_io_striped(tl, RegionLevel::Far, Dir::Write, total as u64 * elem, lanes);
+    charge_io_striped(tl, RegionLevel::Far, Dir::Read, bytes, lanes);
+    charge_io_striped(tl, RegionLevel::Far, Dir::Write, bytes, lanes);
     charge_compute_striped(tl, cmps, lanes);
     tl.end_phase();
 }
@@ -952,9 +907,7 @@ fn merge_batch_via_scratchpad<T: SortElem>(
 
     // -- Gather: one parallel transfer per chunk segment ----------------
     tl.begin_phase("nmsort.p2.gather");
-    gather_buf
-        .arena()
-        .note_sync_transfer(Dir::Read, total as u64 * elem);
+    gather_buf.arena().note_sync_transfer();
     let src = sorted_chunks.as_slice_uncharged();
     let gather = gather_buf.as_mut_slice_uncharged();
     {
@@ -1009,40 +962,56 @@ fn merge_batch_via_scratchpad<T: SortElem>(
         );
     }
 
-    // -- Merge inside the scratchpad -------------------------------------
+    merge_and_writeout(
+        tl,
+        &segs,
+        gather_buf,
+        merge_buf,
+        &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
+        lanes,
+        threads,
+    );
+}
+
+/// The tail of every scratchpad-staged Phase-2 batch: merge the segments
+/// gathered back to back into `gather_buf` (lengths from `segs`) inside the
+/// scratchpad, then stream the merged run to its final DRAM position `out`.
+fn merge_and_writeout<T: SortElem>(
+    tl: &TwoLevel,
+    segs: &[(usize, usize)],
+    gather_buf: &ArenaBuf<T>,
+    merge_buf: &mut ArenaBuf<T>,
+    out: &mut [T],
+    lanes: usize,
+    threads: usize,
+) {
+    let total = out.len();
+    let bytes = std::mem::size_of_val(out) as u64;
     tl.begin_phase("nmsort.p2.merge");
     {
         let gather: &[T] = gather_buf.as_slice_uncharged();
         let mut seg_slices: Vec<&[T]> = Vec::with_capacity(segs.len());
         let mut cursor = 0usize;
-        for &(lo, hi) in &segs {
+        for &(lo, hi) in segs {
             seg_slices.push(&gather[cursor..cursor + (hi - lo)]);
             cursor += hi - lo;
         }
-        let out = &mut merge_buf.as_mut_slice_uncharged()[..total];
-        let cmps = parallel_merge(&seg_slices, out, lanes, threads);
+        let merged = &mut merge_buf.as_mut_slice_uncharged()[..total];
+        let cmps = parallel_merge(&seg_slices, merged, lanes, threads);
         // Merge streams the batch through cache once each way.
-        charge_io_striped(tl, RegionLevel::Near, Dir::Read, total as u64 * elem, lanes);
-        charge_io_striped(
-            tl,
-            RegionLevel::Near,
-            Dir::Write,
-            total as u64 * elem,
-            lanes,
-        );
+        charge_io_striped(tl, RegionLevel::Near, Dir::Read, bytes, lanes);
+        charge_io_striped(tl, RegionLevel::Near, Dir::Write, bytes, lanes);
         charge_compute_striped(tl, cmps, lanes);
     }
 
     // -- Stream the merged batch to its final DRAM position -------------
     tl.begin_phase("nmsort.p2.writeout");
-    merge_buf
-        .arena()
-        .note_sync_transfer(Dir::Write, total as u64 * elem);
+    merge_buf.arena().note_sync_transfer();
     charged_copy(
         tl,
         CopyKind::NearToFar,
         &merge_buf.as_slice_uncharged()[..total],
-        &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
+        out,
         lanes,
         threads,
     );
@@ -1133,26 +1102,15 @@ fn merge_oversized_bucket<T: SortElem>(
             // Degenerate duplication: merge straight from DRAM.
             dram_direct += 1;
             tlmm_telemetry::counter!("nmsort.dram_direct_part").incr();
-            tl.begin_phase("nmsort.p2.stream_far");
-            let seg_slices: Vec<&[T]> = part_segs.iter().map(|&(a, b)| &src[a..b]).collect();
-            let out = &mut output.as_mut_slice_uncharged()[part_off..part_off + part_total];
-            let cmps = parallel_merge(&seg_slices, out, lanes, threads);
-            charge_io_striped(
+            merge_from_far(
                 tl,
-                RegionLevel::Far,
-                Dir::Read,
-                part_total as u64 * elem,
+                src,
+                &part_segs,
+                false,
+                &mut output.as_mut_slice_uncharged()[part_off..part_off + part_total],
                 lanes,
+                threads,
             );
-            charge_io_striped(
-                tl,
-                RegionLevel::Far,
-                Dir::Write,
-                part_total as u64 * elem,
-                lanes,
-            );
-            charge_compute_striped(tl, cmps, lanes);
-            tl.end_phase();
         }
         part_off += part_total;
     }
@@ -1181,9 +1139,7 @@ fn merge_part_via_scratchpad<T: SortElem>(
 ) {
     let elem = std::mem::size_of::<T>() as u64;
     tl.begin_phase("nmsort.p2.gather");
-    gather_buf
-        .arena()
-        .note_sync_transfer(Dir::Read, total as u64 * elem);
+    gather_buf.arena().note_sync_transfer();
     {
         let gather = &mut gather_buf.as_mut_slice_uncharged()[..total];
         let mut cursor = 0usize;
@@ -1200,40 +1156,15 @@ fn merge_part_via_scratchpad<T: SortElem>(
             lanes,
         );
     }
-    tl.begin_phase("nmsort.p2.merge");
-    {
-        let gather: &[T] = gather_buf.as_slice_uncharged();
-        let mut seg_slices: Vec<&[T]> = Vec::with_capacity(part_segs.len());
-        let mut cursor = 0usize;
-        for &(lo, hi) in part_segs {
-            seg_slices.push(&gather[cursor..cursor + (hi - lo)]);
-            cursor += hi - lo;
-        }
-        let out = &mut merge_buf.as_mut_slice_uncharged()[..total];
-        let cmps = parallel_merge(&seg_slices, out, lanes, threads);
-        charge_io_striped(tl, RegionLevel::Near, Dir::Read, total as u64 * elem, lanes);
-        charge_io_striped(
-            tl,
-            RegionLevel::Near,
-            Dir::Write,
-            total as u64 * elem,
-            lanes,
-        );
-        charge_compute_striped(tl, cmps, lanes);
-    }
-    tl.begin_phase("nmsort.p2.writeout");
-    merge_buf
-        .arena()
-        .note_sync_transfer(Dir::Write, total as u64 * elem);
-    charged_copy(
+    merge_and_writeout(
         tl,
-        CopyKind::NearToFar,
-        &merge_buf.as_slice_uncharged()[..total],
+        part_segs,
+        gather_buf,
+        merge_buf,
         &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
         lanes,
         threads,
     );
-    tl.end_phase();
 }
 
 #[cfg(test)]

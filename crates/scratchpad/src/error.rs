@@ -2,7 +2,7 @@
 
 use tlmm_model::params::ParamError;
 
-/// Errors raised by allocation and transfer operations.
+/// Errors raised by allocation, staging-arena and fault-injection operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpError {
     /// The [`tlmm_model::ScratchpadParams`] handed to
@@ -25,22 +25,6 @@ pub enum SpError {
         requested: u64,
         /// Bytes still available in the scratchpad.
         available: u64,
-    },
-    /// A transfer or staging range fell outside an array's bounds.
-    RangeOutOfBounds {
-        /// Offending half-open range start.
-        start: usize,
-        /// Offending half-open range end.
-        end: usize,
-        /// Length of the array the range was applied to.
-        len: usize,
-    },
-    /// Source and destination ranges of a transfer have different lengths.
-    LengthMismatch {
-        /// Source elements.
-        src: usize,
-        /// Destination elements.
-        dst: usize,
     },
     /// An installed [`crate::fault::FaultPlan`] failed this operation.
     /// Injected transfer failures are charged in full (the payload moved
@@ -69,7 +53,7 @@ pub enum SpError {
 
 impl SpError {
     /// Is this error a deliberate injection (as opposed to a genuine
-    /// capacity or bounds violation)? Degradation ladders retry these.
+    /// capacity violation)? Degradation ladders retry these.
     pub fn is_injected(&self) -> bool {
         matches!(self, SpError::FaultInjected { .. })
     }
@@ -87,12 +71,6 @@ impl core::fmt::Display for SpError {
                 f,
                 "scratchpad capacity exceeded: requested {requested} B, {available} B available"
             ),
-            SpError::RangeOutOfBounds { start, end, len } => {
-                write!(f, "range {start}..{end} out of bounds for length {len}")
-            }
-            SpError::LengthMismatch { src, dst } => {
-                write!(f, "transfer length mismatch: src {src} elements, dst {dst}")
-            }
             SpError::FaultInjected { op, index } => {
                 write!(f, "injected fault: {} op #{index}", op.name())
             }
@@ -126,13 +104,7 @@ mod tests {
         };
         let s = e.to_string();
         assert!(s.contains("100") && s.contains("10"));
-        let e = SpError::RangeOutOfBounds {
-            start: 5,
-            end: 9,
-            len: 7,
-        };
-        assert!(e.to_string().contains("5..9"));
-        let e = SpError::LengthMismatch { src: 3, dst: 4 };
-        assert!(e.to_string().contains("src 3"));
+        let e = SpError::TransferNotPending { id: 7 };
+        assert!(e.to_string().contains("#7"));
     }
 }

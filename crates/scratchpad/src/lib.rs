@@ -16,10 +16,12 @@
 //! * [`FarArray`] / [`NearArray`] — typed arrays living in one region.
 //!   Allocating a [`NearArray`] beyond the scratchpad capacity fails, exactly
 //!   like the modified `malloc` of §VI-B.2 would.
-//! * Transfer and staging methods on [`TwoLevel`] ([`TwoLevel::far_to_near`],
-//!   [`TwoLevel::load_near`], …): algorithms *choreograph* data movement
-//!   explicitly, which is the whole point of a user-controlled hierarchy.
-//! * [`dma::DmaEngine`] — background-thread transfers (§VII future work).
+//! * Charging methods on [`TwoLevel`] ([`TwoLevel::charge_far_io`],
+//!   [`TwoLevel::charge_near_io`], …): algorithms move data on plain
+//!   slices and *choreograph* its accounting explicitly, which is the whole
+//!   point of a user-controlled hierarchy.
+//! * [`arena::StagingArena`] — scratchpad staging buffers with pending
+//!   transfers, the substrate of NMsort's overlapped (DMA) ingest.
 //! * [`executor::Executor`] — a worker-pool runtime arbitrating every
 //!   charged transfer over a bounded pool of `p′` transfer slots
 //!   (Theorem 10), with a seeded deterministic scheduler mode replayable
@@ -32,14 +34,18 @@
 //! # Example
 //!
 //! ```
-//! use tlmm_scratchpad::TwoLevel;
+//! use tlmm_scratchpad::{Dir, TwoLevel};
 //! use tlmm_model::ScratchpadParams;
 //!
 //! let params = ScratchpadParams::new(64, 4.0, 1 << 20, 16 << 10).unwrap();
 //! let tl = TwoLevel::new(params);
 //! let far = tl.far_from_vec((0u64..1000).rev().collect::<Vec<_>>());
 //! let mut near = tl.near_alloc::<u64>(1000).unwrap();
-//! tl.far_to_near(&far, 0..1000, &mut near, 0).unwrap();
+//! // Stage the array into the scratchpad, charging both sides.
+//! near.as_mut_slice_uncharged().copy_from_slice(far.as_slice_uncharged());
+//! let bytes = std::mem::size_of_val(far.as_slice_uncharged()) as u64;
+//! tl.charge_far_io(Dir::Read, bytes);
+//! tl.charge_near_io(Dir::Write, bytes);
 //! let snap = tl.ledger().snapshot();
 //! assert_eq!(snap.far_read_blocks, 125); // ⌈8000 B / 64 B⌉
 //! assert_eq!(snap.near_write_blocks, 32); // ⌈8000 B / 256 B⌉ (ρB = 256)
@@ -49,12 +55,10 @@ pub mod arena;
 pub mod array;
 pub mod backoff;
 pub mod cancel;
-pub mod dma;
 pub mod error;
 pub mod executor;
 pub mod fault;
 pub mod mem;
-pub mod stream;
 pub mod trace;
 
 pub use arena::{ArenaBuf, ArenaStats, OffsetAlloc, StagingArena, TransferId};
@@ -71,7 +75,6 @@ pub use fault::{
     FaultPlan, FAULT_SEED_ENV,
 };
 pub use mem::TwoLevel;
-pub use stream::{par_scan_far, scan_far, FarReader, FarWriter, NearReader};
 pub use trace::{with_lane, LaneWork, PhaseRecord, PhaseTrace};
 
 // Re-exported so algorithm crates can name transfer directions without

@@ -1,4 +1,4 @@
-//! The [`TwoLevel`] memory handle: allocation, transfers, staging, phases.
+//! The [`TwoLevel`] memory handle: allocation, charging, phases.
 
 use crate::array::{FarArray, NearArray};
 use crate::cancel::CancelToken;
@@ -7,7 +7,6 @@ use crate::executor::{ExecConfig, ExecConfigError, Executor};
 use crate::fault::{self, FaultDecision, FaultInjector, FaultOp, FaultPlan};
 use crate::trace::{PhaseTrace, TraceRecorder};
 use parking_lot::Mutex;
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use tlmm_model::ledger::{CostLedger, Dir, Level};
@@ -36,31 +35,16 @@ pub struct TwoLevelInner {
 /// Handle to a two-level main memory. Cheap to clone; clones share the
 /// ledger, trace and scratchpad budget.
 ///
-/// All methods are `&self` and thread-safe. Charged data movement comes in
-/// two flavours:
-///
-/// * **Transfers** between the two memories ([`Self::far_to_near`] …): data
-///   passes through the cache, so *both* sides are charged (a far-side
-///   read/write in `B`-byte blocks, a near-side write/read in `ρB`-byte
-///   blocks).
-/// * **Staging** between one memory and the cache ([`Self::load_near`],
-///   [`Self::store_far`] …): the compute side. One side is charged; the host
-///   `Vec` standing in for the cache is free, like cache hits in the model.
+/// All methods are `&self` and thread-safe. Algorithms move data on raw
+/// slices and charge what they logically move through
+/// [`Self::charge_far_io`] / [`Self::charge_near_io`] (and the random and
+/// compute variants): a far↔near transfer charges both sides (a far-side
+/// read/write in `B`-byte blocks, a near-side write/read in `ρB`-byte
+/// blocks); staging between one memory and the cache charges that memory
+/// only, since the cache is free like cache hits in the model.
 #[derive(Debug, Clone)]
 pub struct TwoLevel {
     inner: Arc<TwoLevelInner>,
-}
-
-fn range_check(r: &Range<usize>, len: usize) -> Result<(), SpError> {
-    if r.start > r.end || r.end > len {
-        Err(SpError::RangeOutOfBounds {
-            start: r.start,
-            end: r.end,
-            len,
-        })
-    } else {
-        Ok(())
-    }
 }
 
 impl TwoLevel {
@@ -480,14 +464,6 @@ impl TwoLevel {
         }
     }
 
-    // Low-level charging API.
-    //
-    // The staging methods below ([`Self::load_near`] …) move data *and*
-    // charge. Performance-critical algorithm kernels (the `tlmm-core` sorts)
-    // instead operate on raw slices and charge explicitly through these
-    // primitives, mirroring exactly the staging they logically perform but
-    // without the extra copies. Accounting is identical either way.
-
     /// Charge a contiguous far-memory transfer of `bytes` bytes
     /// (`⌈bytes/B⌉` blocks).
     pub fn charge_far_io(&self, dir: Dir, bytes: u64) {
@@ -530,189 +506,6 @@ impl TwoLevel {
             Dir::Write => w.near_write_bytes += accesses * blk,
         });
         self.flight_transfer(dir, bytes, tlmm_telemetry::flight::FLAG_RANDOM, &grant);
-    }
-
-    // ------------------------------------------------------------------
-    // Transfers between memories (both sides charged)
-    // ------------------------------------------------------------------
-
-    /// Copy `src[src_range]` into `dst[dst_at..]`. Charges a far read and a
-    /// near write.
-    pub fn far_to_near<T: Copy>(
-        &self,
-        src: &FarArray<T>,
-        src_range: Range<usize>,
-        dst: &mut NearArray<T>,
-        dst_at: usize,
-    ) -> Result<(), SpError> {
-        range_check(&src_range, src.data.len())?;
-        let n = src_range.len();
-        range_check(&(dst_at..dst_at + n), dst.data.len())?;
-        let bytes = (n * std::mem::size_of::<T>()) as u64;
-        match self.preflight(FaultOp::FarToNear) {
-            FaultDecision::Fail(index) => {
-                // The payload moved and was lost: charge the aborted
-                // attempt in full, deliver nothing.
-                tlmm_telemetry::flight::with_fault_retry(|| {
-                    self.charge_far(Dir::Read, bytes);
-                    self.charge_near(Dir::Write, bytes);
-                });
-                return Err(SpError::FaultInjected {
-                    op: FaultOp::FarToNear,
-                    index,
-                });
-            }
-            FaultDecision::Delay(_) => {
-                // Link-level retransmission: the transfer lands, but the
-                // traffic crossed both channels twice.
-                tlmm_telemetry::flight::with_fault_retry(|| {
-                    self.charge_far(Dir::Read, bytes);
-                    self.charge_near(Dir::Write, bytes);
-                });
-            }
-            FaultDecision::Proceed => {}
-        }
-        dst.data[dst_at..dst_at + n].copy_from_slice(&src.data[src_range]);
-        self.charge_far(Dir::Read, bytes);
-        self.charge_near(Dir::Write, bytes);
-        Ok(())
-    }
-
-    /// Copy `src[src_range]` into `dst[dst_at..]`. Charges a near read and a
-    /// far write.
-    pub fn near_to_far<T: Copy>(
-        &self,
-        src: &NearArray<T>,
-        src_range: Range<usize>,
-        dst: &mut FarArray<T>,
-        dst_at: usize,
-    ) -> Result<(), SpError> {
-        range_check(&src_range, src.data.len())?;
-        let n = src_range.len();
-        range_check(&(dst_at..dst_at + n), dst.data.len())?;
-        let bytes = (n * std::mem::size_of::<T>()) as u64;
-        match self.preflight(FaultOp::NearToFar) {
-            FaultDecision::Fail(index) => {
-                tlmm_telemetry::flight::with_fault_retry(|| {
-                    self.charge_near(Dir::Read, bytes);
-                    self.charge_far(Dir::Write, bytes);
-                });
-                return Err(SpError::FaultInjected {
-                    op: FaultOp::NearToFar,
-                    index,
-                });
-            }
-            FaultDecision::Delay(_) => {
-                tlmm_telemetry::flight::with_fault_retry(|| {
-                    self.charge_near(Dir::Read, bytes);
-                    self.charge_far(Dir::Write, bytes);
-                });
-            }
-            FaultDecision::Proceed => {}
-        }
-        dst.data[dst_at..dst_at + n].copy_from_slice(&src.data[src_range]);
-        self.charge_near(Dir::Read, bytes);
-        self.charge_far(Dir::Write, bytes);
-        Ok(())
-    }
-
-    /// Far-to-far copy (e.g. the baseline shuffling data within DRAM):
-    /// charges a far read *and* a far write.
-    pub fn far_to_far<T: Copy>(
-        &self,
-        src: &FarArray<T>,
-        src_range: Range<usize>,
-        dst: &mut FarArray<T>,
-        dst_at: usize,
-    ) -> Result<(), SpError> {
-        range_check(&src_range, src.data.len())?;
-        let n = src_range.len();
-        range_check(&(dst_at..dst_at + n), dst.data.len())?;
-        dst.data[dst_at..dst_at + n].copy_from_slice(&src.data[src_range]);
-        let bytes = (n * std::mem::size_of::<T>()) as u64;
-        self.charge_far(Dir::Read, bytes);
-        self.charge_far(Dir::Write, bytes);
-        Ok(())
-    }
-
-    /// Near-to-near copy within the scratchpad.
-    pub fn near_to_near<T: Copy>(
-        &self,
-        src: &NearArray<T>,
-        src_range: Range<usize>,
-        dst: &mut NearArray<T>,
-        dst_at: usize,
-    ) -> Result<(), SpError> {
-        range_check(&src_range, src.data.len())?;
-        let n = src_range.len();
-        range_check(&(dst_at..dst_at + n), dst.data.len())?;
-        dst.data[dst_at..dst_at + n].copy_from_slice(&src.data[src_range]);
-        let bytes = (n * std::mem::size_of::<T>()) as u64;
-        self.charge_near(Dir::Read, bytes);
-        self.charge_near(Dir::Write, bytes);
-        Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Staging between a memory and the cache (one side charged)
-    // ------------------------------------------------------------------
-
-    /// Stream `src[range]` into the cache-resident buffer `dst` (cleared
-    /// first). Charges a near read.
-    pub fn load_near<T: Copy>(
-        &self,
-        src: &NearArray<T>,
-        range: Range<usize>,
-        dst: &mut Vec<T>,
-    ) -> Result<(), SpError> {
-        range_check(&range, src.data.len())?;
-        dst.clear();
-        dst.extend_from_slice(&src.data[range.clone()]);
-        self.charge_near(Dir::Read, (range.len() * std::mem::size_of::<T>()) as u64);
-        Ok(())
-    }
-
-    /// Stream the cache-resident `src` into `dst[at..]`. Charges a near
-    /// write.
-    pub fn store_near<T: Copy>(
-        &self,
-        dst: &mut NearArray<T>,
-        at: usize,
-        src: &[T],
-    ) -> Result<(), SpError> {
-        range_check(&(at..at + src.len()), dst.data.len())?;
-        dst.data[at..at + src.len()].copy_from_slice(src);
-        self.charge_near(Dir::Write, std::mem::size_of_val(src) as u64);
-        Ok(())
-    }
-
-    /// Stream `src[range]` into the cache-resident buffer `dst` (cleared
-    /// first). Charges a far read.
-    pub fn load_far<T: Copy>(
-        &self,
-        src: &FarArray<T>,
-        range: Range<usize>,
-        dst: &mut Vec<T>,
-    ) -> Result<(), SpError> {
-        range_check(&range, src.data.len())?;
-        dst.clear();
-        dst.extend_from_slice(&src.data[range.clone()]);
-        self.charge_far(Dir::Read, (range.len() * std::mem::size_of::<T>()) as u64);
-        Ok(())
-    }
-
-    /// Stream the cache-resident `src` into `dst[at..]`. Charges a far
-    /// write.
-    pub fn store_far<T: Copy>(
-        &self,
-        dst: &mut FarArray<T>,
-        at: usize,
-        src: &[T],
-    ) -> Result<(), SpError> {
-        range_check(&(at..at + src.len()), dst.data.len())?;
-        dst.data[at..at + src.len()].copy_from_slice(src);
-        self.charge_far(Dir::Write, std::mem::size_of_val(src) as u64);
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -809,86 +602,37 @@ mod tests {
     #[test]
     fn transfer_charges_both_sides_in_model_units() {
         let tl = tl();
-        let far = tl.far_from_vec((0u64..512).collect::<Vec<_>>());
-        let mut near = tl.near_alloc::<u64>(512).unwrap();
-        tl.far_to_near(&far, 0..512, &mut near, 0).unwrap();
+        tl.charge_far_io(Dir::Read, 4096);
+        tl.charge_near_io(Dir::Write, 4096);
         let s = tl.ledger().snapshot();
         // 4096 bytes: 64 far blocks read, 16 near blocks written.
         assert_eq!(s.far_read_blocks, 64);
         assert_eq!(s.near_write_blocks, 16);
         assert_eq!(s.far_bytes, 4096);
         assert_eq!(s.near_bytes, 4096);
-        assert_eq!(near.as_slice_uncharged()[511], 511);
     }
 
     #[test]
-    fn round_trip_preserves_data() {
+    fn partial_blocks_round_up() {
         let tl = tl();
-        let far = tl.far_from_vec((0u32..1000).rev().collect::<Vec<_>>());
-        let mut near = tl.near_alloc::<u32>(1000).unwrap();
-        tl.far_to_near(&far, 0..1000, &mut near, 0).unwrap();
-        let mut out = tl.far_alloc::<u32>(1000);
-        tl.near_to_far(&near, 0..1000, &mut out, 0).unwrap();
-        assert_eq!(far.as_slice_uncharged(), out.as_slice_uncharged());
-    }
-
-    #[test]
-    fn staging_charges_one_side_only() {
-        let tl = tl();
-        let near = {
-            let mut a = tl.near_alloc::<u64>(128).unwrap();
-            a.as_mut_slice_uncharged()
-                .iter_mut()
-                .enumerate()
-                .for_each(|(i, v)| *v = i as u64);
-            a
-        };
-        let mut buf = Vec::new();
-        tl.load_near(&near, 32..64, &mut buf).unwrap();
-        assert_eq!(buf.len(), 32);
-        assert_eq!(buf[0], 32);
+        tl.charge_near_io(Dir::Read, 256); // exactly one rho*B block
+        tl.charge_far_io(Dir::Write, 40); // 40 bytes -> 1 block
         let s = tl.ledger().snapshot();
-        assert_eq!(s.near_read_blocks, 1); // 256 bytes = exactly one rho*B block
-        assert_eq!(s.far_blocks(), 0);
+        assert_eq!(s.near_read_blocks, 1);
         assert_eq!(s.near_write_blocks, 0);
-    }
-
-    #[test]
-    fn store_far_charges_write() {
-        let tl = tl();
-        let mut far = tl.far_alloc::<u16>(100);
-        tl.store_far(&mut far, 10, &[7u16; 20]).unwrap();
-        let s = tl.ledger().snapshot();
-        assert_eq!(s.far_write_blocks, 1); // 40 bytes -> 1 block
-        assert_eq!(far.as_slice_uncharged()[29], 7);
-        assert_eq!(far.as_slice_uncharged()[30], 0);
-    }
-
-    #[test]
-    fn out_of_bounds_is_reported_not_panicking() {
-        let tl = tl();
-        let far = tl.far_from_vec(vec![1u8; 10]);
-        let mut near = tl.near_alloc::<u8>(10).unwrap();
-        assert!(matches!(
-            tl.far_to_near(&far, 5..15, &mut near, 0),
-            Err(SpError::RangeOutOfBounds { .. })
-        ));
-        assert!(matches!(
-            tl.far_to_near(&far, 0..8, &mut near, 5),
-            Err(SpError::RangeOutOfBounds { .. })
-        ));
-        // Nothing charged on failure.
-        assert_eq!(tl.ledger().snapshot().total_blocks(), 0);
+        assert_eq!(s.far_write_blocks, 1);
+        assert_eq!(s.far_read_blocks, 0);
     }
 
     #[test]
     fn phases_collect_lane_work() {
         let tl = tl();
-        let far = tl.far_from_vec(vec![0u64; 1024]);
-        let mut near = tl.near_alloc::<u64>(1024).unwrap();
         {
             let _p = tl.phase("ingest");
-            with_lane(1, || tl.far_to_near(&far, 0..1024, &mut near, 0).unwrap());
+            with_lane(1, || {
+                tl.charge_far_io(Dir::Read, 8192);
+                tl.charge_near_io(Dir::Write, 8192);
+            });
         }
         {
             let _p = tl.phase("compute");
@@ -904,9 +648,7 @@ mod tests {
     #[test]
     fn reset_accounting_clears_everything() {
         let tl = tl();
-        let far = tl.far_from_vec(vec![0u8; 64]);
-        let mut buf = Vec::new();
-        tl.load_far(&far, 0..64, &mut buf).unwrap();
+        tl.charge_far_io(Dir::Read, 64);
         tl.reset_accounting();
         assert_eq!(tl.ledger().snapshot().total_blocks(), 0);
         assert!(tl.take_trace().phases.is_empty());
@@ -918,32 +660,26 @@ mod tests {
         let tl2 = tl.clone();
         let _a = tl.near_alloc::<u8>(1 << 20).unwrap();
         assert!(tl2.near_alloc::<u8>(1).is_err());
-        let far = tl2.far_from_vec(vec![0u8; 64]);
-        let mut buf = Vec::new();
-        tl2.load_far(&far, 0..64, &mut buf).unwrap();
+        tl2.charge_far_io(Dir::Read, 64);
         assert_eq!(tl.ledger().snapshot().far_read_blocks, 1);
     }
 
     #[test]
     fn concurrent_transfers_charge_losslessly() {
         let tl = tl();
-        let far = tl.far_from_vec(vec![1u64; 64 * 128]);
         std::thread::scope(|s| {
             for t in 0..8 {
                 let tl = tl.clone();
-                let far = &far;
                 s.spawn(move || {
                     with_lane(t, || {
-                        let mut buf = Vec::new();
-                        for i in 0..16 {
-                            let start = (t * 16 + i) * 64;
-                            tl.load_far(far, start..start + 64, &mut buf).unwrap();
+                        for _ in 0..16 {
+                            tl.charge_far_io(Dir::Read, 512);
                         }
                     })
                 });
             }
         });
-        // 128 loads of 512 bytes = 8 far blocks each.
+        // 128 charges of 512 bytes = 8 far blocks each.
         assert_eq!(tl.ledger().snapshot().far_read_blocks, 128 * 8);
         let t = tl.trace();
         assert_eq!(t.total().far_read_bytes, 128 * 512);

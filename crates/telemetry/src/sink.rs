@@ -15,7 +15,6 @@
 //! |--------------|-----------|---------|
 //! | `span_end`   | span drops | `name`, `id`, `parent`, `start_ns`, `dur_ns`, `lane?` |
 //! | `phase_sim`  | memsim engines | `engine`, `name`, `seconds`, `bottleneck`, `far_bytes`, `near_bytes`, `compute_ops` |
-//! | `dma`        | scratchpad DMA | `bytes`, `dir`, `lane?` |
 //! | custom       | [`emit`] callers | arbitrary `Value::Map` payload |
 
 use std::fs::OpenOptions;

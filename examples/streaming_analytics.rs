@@ -15,19 +15,32 @@
 use two_level_mem::analysis::table::{ratio, secs, Table};
 use two_level_mem::core::par::{charged_copy, CopyKind};
 use two_level_mem::prelude::*;
-use two_level_mem::scratchpad::{par_scan_far, with_lane, NearReader};
+use two_level_mem::scratchpad::{with_lane, Dir};
 
-/// Per-lane histogram accumulator (newtype so `Default` gives zeroes).
-struct Hist([u64; 64]);
-impl Default for Hist {
-    fn default() -> Self {
-        Hist([0; 64])
-    }
-}
+/// Elements each lane streams through the cache per charged read.
+const PIECE: usize = 1 << 14;
 
-fn histogram_of(piece: &[u64], hist: &mut [u64; 64]) {
-    for &v in piece {
-        hist[(v >> 58) as usize] += 1;
+/// One histogram pass: each of `lanes` lanes scans its contiguous stripe
+/// of `data` in cache-sized pieces, charging every piece's read through
+/// `charge_read` and one op per element, all to the scanning lane.
+fn histogram_pass(
+    tl: &TwoLevel,
+    data: &[u64],
+    lanes: usize,
+    charge_read: impl Fn(u64),
+    hist: &mut [u64; 64],
+) {
+    let per = data.len().div_ceil(lanes);
+    for (lane, stripe) in data.chunks(per).enumerate() {
+        with_lane(lane, || {
+            for piece in stripe.chunks(PIECE) {
+                charge_read(std::mem::size_of_val(piece) as u64);
+                for &v in piece {
+                    hist[(v >> 58) as usize] += 1;
+                }
+                tl.charge_compute(piece.len() as u64);
+            }
+        });
     }
 }
 
@@ -46,19 +59,8 @@ fn main() {
         let mut hist = [0u64; 64];
         for _ in 0..passes {
             tl.begin_phase("scan.dram");
-            let partials: Vec<Hist> =
-                par_scan_far(&tl, &far, 1 << 14, lanes, |mut h: Hist, piece| {
-                    histogram_of(piece, &mut h.0);
-                    // One op per element, charged to the scanning lane.
-                    tl.charge_compute(piece.len() as u64);
-                    h
-                })
-                .unwrap();
-            for p in partials {
-                for (a, b) in hist.iter_mut().zip(p.0) {
-                    *a += b;
-                }
-            }
+            let charge = |bytes| tl.charge_far_io(Dir::Read, bytes);
+            histogram_pass(&tl, far.as_slice_uncharged(), lanes, charge, &mut hist);
             tl.end_phase();
         }
         let dram_time = simulate_flow(&tl.take_trace(), &machine).seconds;
@@ -81,18 +83,8 @@ fn main() {
         for _ in 0..passes {
             tl.begin_phase("scan.near");
             // Each lane scans its stripe of the staged copy.
-            let per = n.div_ceil(lanes);
-            for (lane, lo) in (0..n).step_by(per).enumerate() {
-                let hi = (lo + per).min(n);
-                with_lane(lane, || {
-                    let mut r = NearReader::with_range(&tl, &near, lo..hi, 1 << 14);
-                    let mut buf = Vec::new();
-                    while r.next_chunk(&mut buf).unwrap() > 0 {
-                        histogram_of(&buf, &mut hist2);
-                        tl.charge_compute(buf.len() as u64);
-                    }
-                });
-            }
+            let charge = |bytes| tl.charge_near_io(Dir::Read, bytes);
+            histogram_pass(&tl, near.as_slice_uncharged(), lanes, charge, &mut hist2);
             tl.end_phase();
         }
         // Results must agree regardless of placement.
