@@ -16,6 +16,13 @@
 //! ingest ladder (overlapped issue, sync fallback, re-stage, forced copy)
 //! is fixed too.
 //!
+//! `exec_schedule.json` pins the deterministic arbiter itself: every
+//! sorter, a multi-chunk NMsort whose Phase 2 runs, and an NMsort whose
+//! oversized bucket is split into parts staged through the scratchpad, all
+//! under `ExecConfig::deterministic(8, 2, 42)`. It records the ledger, the
+//! executor's virtual-time report and each phase's per-lane slot waits, so
+//! a change to the order of arbiter requests or stage permutations shows.
+//!
 //! Regenerate after an *intentional* accounting change with:
 //! `TLMM_BLESS=1 cargo test --test golden_ledgers`
 
@@ -36,19 +43,22 @@ fn input() -> Vec<u64> {
 
 /// Run one canonical sorter configuration, optionally under an executor;
 /// returns the ledger snapshot and the phase trace.
-fn run_sorter(
-    name: &str,
-    exec: Option<tlmm_scratchpad::ExecConfig>,
-) -> (CostSnapshot, PhaseTrace) {
+fn run_sorter(name: &str, exec: Option<tlmm_scratchpad::ExecConfig>) -> (CostSnapshot, PhaseTrace) {
     let tl = tl();
     if let Some(cfg) = exec {
         tl.install_executor(cfg).unwrap();
     }
+    sort_canonical(&tl, name);
+    (tl.ledger().snapshot(), tl.take_trace())
+}
+
+/// Sort the canonical input with sorter `name` on `tl`.
+fn sort_canonical(tl: &TwoLevel, name: &str) {
     let far = tl.far_from_vec(input());
     match name {
         "nmsort" => {
             let r = two_level_mem::core::nmsort::nmsort(
-                &tl,
+                tl,
                 far,
                 &NmSortConfig {
                     sim_lanes: 8,
@@ -68,7 +78,7 @@ fn run_sorter(
             // refactor, which is the invariant that pins the arena's
             // exact-fit accounting.
             let r = two_level_mem::core::nmsort::nmsort(
-                &tl,
+                tl,
                 far,
                 &NmSortConfig {
                     sim_lanes: 8,
@@ -82,7 +92,7 @@ fn run_sorter(
         }
         "seqsort" => {
             let (out, _) = seq_scratchpad_sort(
-                &tl,
+                tl,
                 far,
                 &SeqSortConfig {
                     lanes: 4,
@@ -95,7 +105,7 @@ fn run_sorter(
         }
         "parsort" => {
             let (out, _) = par_scratchpad_sort(
-                &tl,
+                tl,
                 far,
                 &ParSortConfig {
                     lanes: 8,
@@ -108,7 +118,7 @@ fn run_sorter(
         }
         "baseline" => {
             let r = baseline_sort(
-                &tl,
+                tl,
                 far,
                 &BaselineConfig {
                     sim_lanes: 4,
@@ -126,15 +136,14 @@ fn run_sorter(
                 ..Default::default()
             };
             let (out, _report) = if name == "spms" {
-                spms_sort(&tl, far, &cfg).unwrap()
+                spms_sort(tl, far, &cfg).unwrap()
             } else {
-                squaresort_sort(&tl, far, &cfg).unwrap()
+                squaresort_sort(tl, far, &cfg).unwrap()
             };
             assert_sorted(out.as_slice_uncharged());
         }
         other => panic!("unknown sorter {other}"),
     }
-    (tl.ledger().snapshot(), tl.take_trace())
 }
 
 fn assert_sorted(v: &[u64]) {
@@ -253,4 +262,141 @@ fn golden_ledgers_replay_under_fully_serialized_arbiter() {
         let (snap, _) = run_sorter(name, Some(exec));
         check_against_golden(name, &snap, "p=8 p'=1");
     }
+}
+
+/// One worker's row of the executor report, as pinned by the schedule
+/// golden.
+#[derive(serde::Serialize)]
+struct WorkerSchedule {
+    transfers: u64,
+    bytes: u64,
+    wait_units: u64,
+    clock_units: u64,
+}
+
+/// A run's ledger and virtual-time arbitration summary.
+#[derive(serde::Serialize)]
+struct RunSchedule {
+    run: String,
+    cost: CostSnapshot,
+    makespan_units: u64,
+    total_wait_units: u64,
+    total_bytes: u64,
+    transfers: u64,
+    per_slot_busy_units: Vec<u64>,
+    per_worker: Vec<WorkerSchedule>,
+}
+
+/// One phase's per-lane slot waits.
+#[derive(serde::Serialize)]
+struct PhaseWaits {
+    run: String,
+    phase: String,
+    slot_wait_units: Vec<u64>,
+}
+
+/// Render a finished run on `tl` (whose phase trace is `trace`) as
+/// schedule-golden lines: one summary line, then one line per phase.
+fn schedule_lines(run: &str, tl: &TwoLevel, trace: PhaseTrace) -> Vec<String> {
+    let r = tl
+        .executor()
+        .expect("schedule runs install an executor")
+        .report();
+    let summary = RunSchedule {
+        run: run.to_string(),
+        cost: tl.ledger().snapshot(),
+        makespan_units: r.makespan_units,
+        total_wait_units: r.total_wait_units,
+        total_bytes: r.total_bytes,
+        transfers: r.transfers,
+        per_slot_busy_units: r.per_slot_busy_units,
+        per_worker: r
+            .per_worker
+            .iter()
+            .map(|w| WorkerSchedule {
+                transfers: w.transfers,
+                bytes: w.bytes,
+                wait_units: w.wait_units,
+                clock_units: w.clock_units,
+            })
+            .collect(),
+    };
+    let mut lines = vec![serde::json::to_string(&summary).expect("summary serializes")];
+    for p in trace.phases {
+        let waits = PhaseWaits {
+            run: run.to_string(),
+            phase: p.name,
+            slot_wait_units: p.lanes.iter().map(|l| l.slot_wait_units).collect(),
+        };
+        lines.push(serde::json::to_string(&waits).expect("phase serializes"));
+    }
+    lines
+}
+
+/// A fresh memory under the schedule golden's executor.
+fn scheduled_tl() -> TwoLevel {
+    let tl = tl();
+    tl.install_executor(tlmm_scratchpad::ExecConfig::deterministic(8, 2, 42))
+        .unwrap();
+    tl
+}
+
+/// NMsort of `input` in five chunks, so Phase 2 gathers, merges and
+/// writes out batches; `n_pivots` overrides the default bucket count.
+fn nmsort_five_chunks(
+    tl: &TwoLevel,
+    input: Vec<u64>,
+    n_pivots: Option<usize>,
+) -> NmSortReport<u64> {
+    let far = tl.far_from_vec(input);
+    let r = two_level_mem::core::nmsort::nmsort(
+        tl,
+        far,
+        &NmSortConfig {
+            sim_lanes: 8,
+            threads: 1,
+            chunk_elems: Some(N / 5),
+            n_pivots,
+            ..Default::default()
+        },
+    )
+    .unwrap();
+    assert_sorted(r.output.as_slice_uncharged());
+    assert_eq!(r.chunks, 5);
+    r
+}
+
+#[test]
+fn exec_schedule_matches_its_golden() {
+    let mut lines = Vec::new();
+    for name in SORTERS {
+        let tl = scheduled_tl();
+        sort_canonical(&tl, name);
+        lines.extend(schedule_lines(name, &tl, tl.take_trace()));
+    }
+
+    let tl = scheduled_tl();
+    nmsort_five_chunks(&tl, input(), None);
+    lines.extend(schedule_lines("nmsort_five_chunks", &tl, tl.take_trace()));
+
+    // A skewed input over few buckets, so a bucket overflows the gather
+    // buffer: it is sub-split, and at least one part is staged through the
+    // scratchpad (its gather phase directly follows the sub-split).
+    let tl = scheduled_tl();
+    let skewed = generate(Workload::Zipf(1.2), N, DATA_SEED);
+    let r = nmsort_five_chunks(&tl, skewed, Some(8));
+    assert!(r.oversized_buckets >= 1, "{}", r.oversized_buckets);
+    let trace = tl.take_trace();
+    assert!(
+        trace
+            .phases
+            .windows(2)
+            .any(|w| w[0].name == "nmsort.p2.subsplit" && w[1].name == "nmsort.p2.gather"),
+        "no oversized-bucket part was staged through the scratchpad"
+    );
+    lines.extend(schedule_lines("nmsort_oversized", &tl, trace));
+
+    let path = tlmm_testkit::golden_path(GOLDEN_DIR, "exec_schedule");
+    let rendered = format!("[\n{}\n]", lines.join(",\n"));
+    tlmm_testkit::check_golden_str(&path, &rendered, "p=8 p'=2 seed=42");
 }
