@@ -181,8 +181,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     let flight_trace = flight_trace.expect("tracing reps ran");
     // The wall delta is informational only: the workload's runtime is
-    // multi-modal under rayon scheduling, so a 1%-scale effect cannot be
-    // resolved from ~60 ms wall clocks. The budget gate instead bounds
+    // multi-modal, so a 1%-scale effect cannot be resolved from ~60 ms
+    // wall clocks. The budget gate instead bounds
     // the recorder from the inside, like the always-on estimate above:
     // microbenchmark one event push, multiply by the volume a run emits.
     let tracing_wall_pct = (tracing_wall / tracing_base - 1.0) * 100.0;

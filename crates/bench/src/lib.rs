@@ -15,7 +15,7 @@ use tlmm_core::nmsort::{nmsort, DegradationStats, NmSortConfig};
 use tlmm_core::oblivious::{spms_sort, squaresort_sort, ObliviousConfig};
 use tlmm_core::SortError;
 use tlmm_model::{CostSnapshot, ScratchpadParams};
-use tlmm_scratchpad::{ExecConfig, ExecMode, ExecReport, FaultPlan, PhaseTrace, TwoLevel};
+use tlmm_scratchpad::{ExecConfig, ExecConfigError, ExecReport, FaultPlan, PhaseTrace, TwoLevel};
 use tlmm_workloads::{generate, Workload};
 
 pub mod artifact;
@@ -128,6 +128,9 @@ pub struct SortRun {
 pub enum HarnessError {
     /// The sort itself failed.
     Sort(SortError),
+    /// The executor configuration (explicit or from `TLMM_EXEC_*`) is
+    /// invalid.
+    Exec(ExecConfigError),
     /// The output failed verification: `output[index] > output[index + 1]`.
     NotSorted {
         /// First out-of-order position.
@@ -141,10 +144,17 @@ impl From<SortError> for HarnessError {
     }
 }
 
+impl From<ExecConfigError> for HarnessError {
+    fn from(e: ExecConfigError) -> Self {
+        HarnessError::Exec(e)
+    }
+}
+
 impl core::fmt::Display for HarnessError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             HarnessError::Sort(e) => write!(f, "sort failed: {e}"),
+            HarnessError::Exec(e) => write!(f, "bad executor config: {e}"),
             HarnessError::NotSorted { index } => {
                 write!(f, "harness: output not sorted at index {index}")
             }
@@ -183,8 +193,8 @@ pub struct SortSpec {
     /// Virtual lanes (simulated cores).
     pub lanes: usize,
     /// Host worker threads for real fan-out (1 = inline). Never affects
-    /// simulated charges — only wall clock. Forced to 1 under a
-    /// deterministic executor, which owns the schedule.
+    /// simulated charges — only wall clock. Forced to 1 under an
+    /// executor, which owns the schedule.
     pub threads: usize,
     /// NMsort chunk bound in elements (ignored by the baseline).
     pub chunk_elems: Option<usize>,
@@ -258,17 +268,11 @@ fn run_sort_full(
     params: ScratchpadParams,
 ) -> Result<SortRun, HarnessError> {
     let tl = TwoLevel::new(params);
-    // A deterministic executor owns the schedule: host threads racing the
-    // virtual arbiter would make the recorded waits order-dependent, so
-    // rayon is switched off and stage parallelism is the executor's.
-    let deterministic_exec = exec
-        .as_ref()
-        .map(|c| c.mode == ExecMode::Deterministic)
-        .unwrap_or(false);
-    let executor = exec.map(|cfg| {
-        tl.install_executor(cfg)
-            .expect("harness executor config must validate")
-    });
+    // An executor owns the schedule: host threads racing the virtual
+    // arbiter would make the recorded waits order-dependent, so the
+    // engines run single-threaded under one.
+    let threads = if exec.is_some() { 1 } else { spec.threads };
+    let executor = exec.map(|cfg| tl.install_executor(cfg)).transpose()?;
     let fault_seed = plan.as_ref().map(|p| p.seed).unwrap_or(0);
     if let Some(plan) = plan {
         tl.install_fault_plan(plan);
@@ -279,7 +283,7 @@ fn run_sort_full(
             let cfg = NmSortConfig {
                 sim_lanes: spec.lanes,
                 chunk_elems: spec.chunk_elems,
-                threads: if deterministic_exec { 1 } else { spec.threads },
+                threads,
                 use_dma: spec.algo == SortAlgo::NmSortDma,
                 ..Default::default()
             };
@@ -289,7 +293,7 @@ fn run_sort_full(
         SortAlgo::Baseline => {
             let cfg = BaselineConfig {
                 sim_lanes: spec.lanes,
-                threads: if deterministic_exec { 1 } else { spec.threads },
+                threads,
                 ..Default::default()
             };
             // The baseline has no degradation ladder of its own; injector
@@ -306,7 +310,7 @@ fn run_sort_full(
             // with the injector counts harvested below.
             let cfg = ObliviousConfig {
                 lanes: spec.lanes,
-                threads: if deterministic_exec { 1 } else { spec.threads },
+                threads,
                 ..Default::default()
             };
             let (output, _report) = match spec.algo {
@@ -481,6 +485,24 @@ mod tests {
         assert_eq!(free.ledger, starved.ledger);
         // Serialized transfers cannot beat the per-slot rate.
         assert!(starved_r.throughput_units() <= 1.0 + 1e-9);
+    }
+
+    #[test]
+    fn invalid_exec_config_is_a_typed_error() {
+        let spec = SortSpec {
+            threads: 1,
+            algo: SortAlgo::NmSort,
+            n: 10_000,
+            lanes: 4,
+            chunk_elems: None,
+            seed: 1,
+            fault_seed: None,
+        };
+        let run = run_sort_with_exec(&spec, Some(ExecConfig::deterministic(2, 4, 0)));
+        assert!(matches!(
+            run,
+            Err(HarnessError::Exec(ExecConfigError::SlotsExceedWorkers))
+        ));
     }
 
     #[test]

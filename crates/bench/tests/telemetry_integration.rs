@@ -1,5 +1,6 @@
-//! Harness-level telemetry checks: span/lane attribution survives rayon's
-//! worker threads, and the artifact writer produces both result files.
+//! Harness-level telemetry checks: span/lane attribution survives the host
+//! pool's worker threads, and the artifact writer produces both result
+//! files.
 
 use std::sync::Mutex;
 use tlmm_bench::artifact;
@@ -12,13 +13,11 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
 }
 
 #[test]
-fn spans_attribute_lanes_across_rayon_threads() {
-    use rayon::prelude::*;
+fn spans_attribute_lanes_across_pool_threads() {
     let _g = lock();
     tlmm_telemetry::reset();
 
-    let lanes: Vec<usize> = (0..8).collect();
-    lanes.par_iter().for_each(|&lane| {
+    tlmm_core::pool::run_indexed(4, 0..8usize, |_, lane| {
         with_lane(lane, || {
             let _s = span!("bench_it.lane_work");
         });

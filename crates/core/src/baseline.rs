@@ -98,7 +98,8 @@ pub fn baseline_sort<T: SortElem>(
     // Phase boundary: cooperative cancellation / deadline check.
     tl.checkpoint()?;
     tl.begin_phase("baseline.run_sort");
-    let sort_run = |(r, run): (usize, &mut [T])| {
+    let runs = data.as_mut_slice_uncharged().chunks_mut(run_elems);
+    crate::pool::run_indexed(cfg.threads, runs, |r, run| {
         with_lane(r % p, || {
             let bytes = run.len() as u64 * elem;
             for _ in 0..passes {
@@ -108,19 +109,7 @@ pub fn baseline_sort<T: SortElem>(
             crate::kernels::sort_kernel(run);
             tl.charge_compute(run.len() as u64 * ceil_lg(run.len()));
         })
-    };
-    if cfg.threads > 1 {
-        let runs: Vec<&mut [T]> = data
-            .as_mut_slice_uncharged()
-            .chunks_mut(run_elems)
-            .collect();
-        crate::pool::run_indexed(cfg.threads, runs, |r, run| sort_run((r, run)));
-    } else {
-        data.as_mut_slice_uncharged()
-            .chunks_mut(run_elems)
-            .enumerate()
-            .for_each(sort_run);
-    }
+    });
     let n_runs = n.div_ceil(run_elems);
 
     // ---- Multiway merge ---------------------------------------------------

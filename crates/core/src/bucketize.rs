@@ -48,7 +48,7 @@ pub fn bucket_positions<T: SortElem>(
     let per_lane = m.div_ceil(lanes);
     let base = current_lane();
 
-    let work = |(g, group): (usize, &[T])| -> Vec<u64> {
+    let work = |g: usize, group: &[T]| -> Vec<u64> {
         with_lane(base + g % lanes, || {
             // Jump to the group's first boundary with a binary search:
             // lg(n) random reads at `level`.
@@ -84,12 +84,7 @@ pub fn bucket_positions<T: SortElem>(
         })
     };
 
-    let groups: Vec<&[T]> = pivots.chunks(per_lane).collect();
-    let boundary_lists: Vec<Vec<u64>> = if threads > 1 {
-        crate::pool::map_indexed(threads, groups, |g, group| work((g, group)))
-    } else {
-        groups.iter().copied().enumerate().map(work).collect()
-    };
+    let boundary_lists = crate::pool::map_indexed(threads, pivots.chunks(per_lane), work);
 
     let mut positions = Vec::with_capacity(m + 2);
     positions.push(0);

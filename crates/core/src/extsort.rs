@@ -140,7 +140,7 @@ pub fn external_sort<T: SortElem>(
         RegionLevel::Near => FaultOp::NearStage,
         RegionLevel::Far => FaultOp::FarStage,
     };
-    let form = |(i, run): (usize, &mut [T])| {
+    let form = |i: usize, run: &mut [T]| {
         with_lane(base + i % lanes, || {
             match tl.preflight(stage_op) {
                 FaultDecision::Fail(_) => {
@@ -166,12 +166,7 @@ pub fn external_sort<T: SortElem>(
             total_cmps.fetch_add(cmps, std::sync::atomic::Ordering::Relaxed);
         })
     };
-    if cfg.threads > 1 {
-        let runs: Vec<&mut [T]> = data.chunks_mut(run_elems).collect();
-        crate::pool::run_indexed(cfg.threads, runs, |i, run| form((i, run)));
-    } else {
-        data.chunks_mut(run_elems).enumerate().for_each(form);
-    }
+    crate::pool::run_indexed(cfg.threads, data.chunks_mut(run_elems), form);
     let n_runs = n.div_ceil(run_elems);
 
     // ---- Merge rounds --------------------------------------------------
@@ -248,8 +243,8 @@ pub(crate) fn merge_rounds<T: SortElem>(
         let n_groups = groups.len().max(1);
         let ways = lanes.div_ceil(n_groups);
         let base = current_lane();
-        let merge_group = |(g, ((lo, hi), out)): (usize, (&(usize, usize), &mut [T]))| {
-            let runs: Vec<&[T]> = (*lo..*hi)
+        let merge_group = |g: usize, (&(lo, hi), out): (&(usize, usize), &mut [T])| {
+            let runs: Vec<&[T]> = (lo..hi)
                 .map(|r| &src_ref[bounds[r]..bounds[r + 1]])
                 .collect();
             let elems = out.len();
@@ -271,16 +266,7 @@ pub(crate) fn merge_rounds<T: SortElem>(
             }
             total_cmps.fetch_add(cmps, std::sync::atomic::Ordering::Relaxed);
         };
-        if threads > 1 {
-            let items: Vec<(&(usize, usize), &mut [T])> = groups.iter().zip(out_slices).collect();
-            crate::pool::run_indexed(threads, items, |g, go| merge_group((g, go)));
-        } else {
-            groups
-                .iter()
-                .zip(out_slices)
-                .enumerate()
-                .for_each(merge_group);
-        }
+        crate::pool::run_indexed(threads, groups.iter().zip(out_slices), merge_group);
 
         bounds = groups
             .iter()

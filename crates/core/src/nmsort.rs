@@ -23,7 +23,7 @@
 
 use crate::bucketize::{accumulate_totals, bucket_positions, BucketPositions};
 use crate::extsort::{external_sort, ExtSortConfig, RegionLevel};
-use crate::par::{charge_compute_striped, charge_io_striped, charged_copy, CopyKind};
+use crate::par::{charge_compute_striped, charge_io_striped, charged_copy, stage_order, CopyKind};
 use crate::pmerge::parallel_merge;
 use crate::quicksort::external_quicksort;
 use crate::sample::{draw_pivots, PivotSample};
@@ -464,7 +464,13 @@ impl<T: SortElem> Phase1<'_, T> {
         // instead of their sum.
         self.tl.mark_phase_overlappable();
         let bytes = (len * std::mem::size_of::<T>()) as u64;
-        stage_fault_ladder(self.tl, CopyKind::FarToNear, bytes, self.lanes, &mut self.stats);
+        stage_fault_ladder(
+            self.tl,
+            CopyKind::FarToNear,
+            bytes,
+            self.lanes,
+            &mut self.stats,
+        );
         charge_copy_volume(self.tl, CopyKind::FarToNear, bytes, self.lanes);
         let id = dst.issue(Dir::Read, bytes)?;
         if mover == Mover::Background {
@@ -690,7 +696,9 @@ pub fn nmsort<T: SortElem>(
         let pending = if !pipelined {
             p1.ingest(&mut chunk_buf, k, mover)?
         } else if k + 1 < n_chunks {
-            let nb = next_buf.as_mut().expect("pipelined geometry has a next buffer");
+            let nb = next_buf
+                .as_mut()
+                .expect("pipelined geometry has a next buffer");
             p1.ingest(nb, k + 1, mover)?
         } else {
             None
@@ -699,7 +707,9 @@ pub fn nmsort<T: SortElem>(
             if let Some((_, range)) = pending.clone() {
                 // The worker only moves bytes; the read-before-retire guard
                 // on next_buf stays armed until the retire below.
-                let nb = next_buf.as_mut().expect("pipelined geometry has a next buffer");
+                let nb = next_buf
+                    .as_mut()
+                    .expect("pipelined geometry has a next buffer");
                 s.spawn(move || nb.transfer_fill(&src[range], 0));
             }
             p1.sort_writeback_bounds(k, &mut chunk_buf, &mut scratch_buf);
@@ -711,7 +721,9 @@ pub fn nmsort<T: SortElem>(
         if pipelined && k + 1 < n_chunks {
             std::mem::swap(
                 &mut chunk_buf,
-                next_buf.as_mut().expect("pipelined geometry has a next buffer"),
+                next_buf
+                    .as_mut()
+                    .expect("pipelined geometry has a next buffer"),
             );
         }
     }
@@ -784,17 +796,14 @@ pub fn nmsort<T: SortElem>(
                         cfg.threads,
                     );
                 } else {
-                    merge_batch_via_scratchpad(
+                    merge_via_scratchpad(
                         tl,
-                        &sorted_chunks,
-                        &all_positions,
-                        &chunk_starts,
-                        (blo, bhi),
+                        sorted_chunks.as_slice_uncharged(),
+                        &batch_segments(&all_positions, &chunk_starts, (blo, bhi)),
+                        true,
                         &mut chunk_buf,
                         &mut scratch_buf,
-                        &mut output,
-                        out_off,
-                        total as usize,
+                        &mut output.as_mut_slice_uncharged()[out_off..out_off + total as usize],
                         lanes,
                         cfg.threads,
                     );
@@ -885,106 +894,64 @@ fn batch_segments(
         .collect()
 }
 
-/// Standard Phase-2 batch: gather segments into the scratchpad, merge them
-/// there, stream the result out.
-#[allow(clippy::too_many_arguments)]
-fn merge_batch_via_scratchpad<T: SortElem>(
+/// The `nmsort.p2.gather` phase of a scratchpad-staged Phase-2 batch or
+/// part: copy `segs` of `src` back to back into `gather_buf`, charged as
+/// one striped far→near transfer of the whole volume. With `read_bounds`
+/// (a batch planned from BucketPos), each segment first charges the DRAM
+/// read of its boundary pair on lane `k % lanes`, issued in the executor's
+/// stage order.
+fn gather_segments<T: SortElem>(
     tl: &TwoLevel,
-    sorted_chunks: &FarArray<T>,
-    all_positions: &[BucketPositions],
-    chunk_starts: &[usize],
-    bucket_range: (usize, usize),
+    src: &[T],
+    segs: &[(usize, usize)],
+    read_bounds: bool,
     gather_buf: &mut ArenaBuf<T>,
-    merge_buf: &mut ArenaBuf<T>,
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
     lanes: usize,
     threads: usize,
 ) {
-    let elem = std::mem::size_of::<T>() as u64;
-    let segs = batch_segments(all_positions, chunk_starts, bucket_range);
-
-    // -- Gather: one parallel transfer per chunk segment ----------------
+    let total: usize = segs.iter().map(|&(lo, hi)| hi - lo).sum();
+    let bytes = (total * std::mem::size_of::<T>()) as u64;
     tl.begin_phase("nmsort.p2.gather");
     gather_buf.arena().note_sync_transfer();
-    let src = sorted_chunks.as_slice_uncharged();
-    let gather = gather_buf.as_mut_slice_uncharged();
-    {
-        // Carve the gather buffer into per-segment destinations.
-        let mut dsts: Vec<&mut [T]> = Vec::with_capacity(segs.len());
-        let mut rest = &mut gather[..total];
-        for &(lo, hi) in &segs {
-            let (a, b) = rest.split_at_mut(hi - lo);
-            dsts.push(a);
-            rest = b;
+    if read_bounds {
+        for k in stage_order(tl, segs.len()) {
+            with_lane(k % lanes, || tl.charge_far_random(Dir::Read, 2, 16));
         }
-        let copy_one = |(k, (&(lo, hi), dst)): (usize, (&(usize, usize), &mut [T]))| {
-            with_lane(k % lanes, || {
-                // Reading this chunk's BucketPos boundary pair from DRAM.
-                tl.charge_far_random(Dir::Read, 2, 16);
-                if hi > lo {
-                    dst.copy_from_slice(&src[lo..hi]);
-                }
-            })
-        };
-        if let Some(ex) = tl.executor() {
-            // The installed executor owns the gather schedule: seeded
-            // permutation in deterministic mode, its worker pool in host
-            // mode. Lane attribution stays positional (k % lanes), so the
-            // trace is invariant under the permutation.
-            let copy_one = &copy_one;
-            let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = segs
-                .iter()
-                .zip(dsts)
-                .enumerate()
-                .map(|(k, (seg, dst))| {
-                    Box::new(move || copy_one((k, (seg, dst)))) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            ex.run_tasks(tasks);
-        } else if threads > 1 {
-            let items: Vec<(&(usize, usize), &mut [T])> = segs.iter().zip(dsts).collect();
-            crate::pool::run_indexed(threads, items, |k, sd| copy_one((k, sd)));
-        } else {
-            segs.iter().zip(dsts).enumerate().for_each(copy_one);
-        }
-        // The gather streams the whole batch; all lanes cooperate on the
-        // transfer (segments are subdivided further on a real machine), so
-        // the volume is charged striped rather than one-lane-per-chunk.
-        charge_io_striped(tl, RegionLevel::Far, Dir::Read, total as u64 * elem, lanes);
-        charge_io_striped(
-            tl,
-            RegionLevel::Near,
-            Dir::Write,
-            total as u64 * elem,
-            lanes,
-        );
     }
-
-    merge_and_writeout(
-        tl,
-        &segs,
-        gather_buf,
-        merge_buf,
-        &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
-        lanes,
-        threads,
-    );
+    let mut dsts: Vec<&mut [T]> = Vec::with_capacity(segs.len());
+    let mut rest = &mut gather_buf.as_mut_slice_uncharged()[..total];
+    for &(lo, hi) in segs {
+        let (a, b) = std::mem::take(&mut rest).split_at_mut(hi - lo);
+        dsts.push(a);
+        rest = b;
+    }
+    crate::pool::run_indexed(threads, segs.iter().zip(dsts), |_, (&(lo, hi), dst)| {
+        dst.copy_from_slice(&src[lo..hi])
+    });
+    // The gather streams the whole batch; all lanes cooperate on the
+    // transfer (segments are subdivided further on a real machine), so
+    // the volume is charged striped rather than one-lane-per-chunk.
+    charge_io_striped(tl, RegionLevel::Far, Dir::Read, bytes, lanes);
+    charge_io_striped(tl, RegionLevel::Near, Dir::Write, bytes, lanes);
 }
 
-/// The tail of every scratchpad-staged Phase-2 batch: merge the segments
-/// gathered back to back into `gather_buf` (lengths from `segs`) inside the
-/// scratchpad, then stream the merged run to its final DRAM position `out`.
-fn merge_and_writeout<T: SortElem>(
+/// A scratchpad-staged Phase-2 batch (or oversized-bucket part): gather
+/// `segs` of `src` into `gather_buf` ([`gather_segments`]), merge them
+/// inside the scratchpad, then stream the merged run to its final DRAM
+/// position `out`.
+#[allow(clippy::too_many_arguments)]
+fn merge_via_scratchpad<T: SortElem>(
     tl: &TwoLevel,
+    src: &[T],
     segs: &[(usize, usize)],
-    gather_buf: &ArenaBuf<T>,
+    read_bounds: bool,
+    gather_buf: &mut ArenaBuf<T>,
     merge_buf: &mut ArenaBuf<T>,
     out: &mut [T],
     lanes: usize,
     threads: usize,
 ) {
+    gather_segments(tl, src, segs, read_bounds, gather_buf, lanes, threads);
     let total = out.len();
     let bytes = std::mem::size_of_val(out) as u64;
     tl.begin_phase("nmsort.p2.merge");
@@ -1094,8 +1061,15 @@ fn merge_oversized_bucket<T: SortElem>(
             continue;
         }
         if part_total <= cap {
-            merge_part_via_scratchpad(
-                tl, src, &part_segs, gather_buf, merge_buf, output, part_off, part_total, lanes,
+            merge_via_scratchpad(
+                tl,
+                src,
+                &part_segs,
+                false,
+                gather_buf,
+                merge_buf,
+                &mut output.as_mut_slice_uncharged()[part_off..part_off + part_total],
+                lanes,
                 threads,
             );
         } else {
@@ -1120,51 +1094,6 @@ fn merge_oversized_bucket<T: SortElem>(
         "oversized parts must cover bucket"
     );
     dram_direct
-}
-
-/// Gather + merge + writeout for an explicit segment list (used by the
-/// oversized-bucket path).
-#[allow(clippy::too_many_arguments)]
-fn merge_part_via_scratchpad<T: SortElem>(
-    tl: &TwoLevel,
-    src: &[T],
-    part_segs: &[(usize, usize)],
-    gather_buf: &mut ArenaBuf<T>,
-    merge_buf: &mut ArenaBuf<T>,
-    output: &mut FarArray<T>,
-    out_off: usize,
-    total: usize,
-    lanes: usize,
-    threads: usize,
-) {
-    let elem = std::mem::size_of::<T>() as u64;
-    tl.begin_phase("nmsort.p2.gather");
-    gather_buf.arena().note_sync_transfer();
-    {
-        let gather = &mut gather_buf.as_mut_slice_uncharged()[..total];
-        let mut cursor = 0usize;
-        for &(lo, hi) in part_segs {
-            gather[cursor..cursor + (hi - lo)].copy_from_slice(&src[lo..hi]);
-            cursor += hi - lo;
-        }
-        charge_io_striped(tl, RegionLevel::Far, Dir::Read, total as u64 * elem, lanes);
-        charge_io_striped(
-            tl,
-            RegionLevel::Near,
-            Dir::Write,
-            total as u64 * elem,
-            lanes,
-        );
-    }
-    merge_and_writeout(
-        tl,
-        part_segs,
-        gather_buf,
-        merge_buf,
-        &mut output.as_mut_slice_uncharged()[out_off..out_off + total],
-        lanes,
-        threads,
-    );
 }
 
 #[cfg(test)]

@@ -99,23 +99,12 @@ fn node<T: SortElem>(
     // children share the lane budget).
     let child_lanes = (lanes / n_groups).max(1);
     let base = current_lane();
-    let sort_group = |(i, (d, s)): (usize, (&mut [T], &mut [T]))| {
+    let children = data.chunks_mut(group).zip(scratch.chunks_mut(group));
+    crate::pool::run_indexed(cx.threads, children, |i, (d, s)| {
         with_lane(base + (i * child_lanes) % lanes, || {
             sort_rec(cx, d, s, child_lanes, child_far, depth + 1);
         })
-    };
-    if cx.threads > 1 {
-        let children: Vec<(&mut [T], &mut [T])> = data
-            .chunks_mut(group)
-            .zip(scratch.chunks_mut(group))
-            .collect();
-        crate::pool::run_indexed(cx.threads, children, |i, ds| sort_group((i, ds)));
-    } else {
-        data.chunks_mut(group)
-            .zip(scratch.chunks_mut(group))
-            .enumerate()
-            .for_each(sort_group);
-    }
+    });
 
     // ---- 2. Deterministic strided sample + pivots --------------------
     // Every ⌈√g⌉-th element of every sorted group: ~n^(3/4) elements in
@@ -199,7 +188,7 @@ fn node<T: SortElem>(
     }
     let groups_ref = &groups;
     let bounds_ref = &bounds;
-    let merge_bucket = |(b, out): (usize, &mut [T])| {
+    crate::pool::run_indexed(cx.threads, bucket_slices, |b, out| {
         with_lane(base + b % lanes, || {
             let segs: Vec<&[T]> = groups_ref
                 .iter()
@@ -214,12 +203,7 @@ fn node<T: SortElem>(
             charge_io_striped(cx.tl, level, Dir::Write, bytes, 1);
             cx.add_comparisons(cmps);
         })
-    };
-    if cx.threads > 1 {
-        crate::pool::run_indexed(cx.threads, bucket_slices, |b, out| merge_bucket((b, out)));
-    } else {
-        bucket_slices.into_iter().enumerate().for_each(merge_bucket);
-    }
+    });
     cx.add_passes(1);
 
     // ---- 5. Copy the concatenated buckets back: the second pass -------

@@ -46,23 +46,11 @@ pub fn parallel_merge<T: SortElem>(
         rest = b;
     }
 
-    let merge_part = |(t, (part, out)): (usize, (&Vec<&[T]>, &mut [T]))| -> u64 {
+    crate::pool::map_indexed(threads, parts.iter().zip(out_slices), |t, (part, out)| {
         with_lane(t % ways, || merge_into_slice(part, out))
-    };
-
-    if threads > 1 {
-        let items: Vec<(&Vec<&[T]>, &mut [T])> = parts.iter().zip(out_slices).collect();
-        crate::pool::map_indexed(threads, items, |t, po| merge_part((t, po)))
-            .into_iter()
-            .sum()
-    } else {
-        parts
-            .iter()
-            .zip(out_slices)
-            .enumerate()
-            .map(merge_part)
-            .sum()
-    }
+    })
+    .into_iter()
+    .sum()
 }
 
 /// The disjoint, ordered parts [`parallel_merge`] merges independently:

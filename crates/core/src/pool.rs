@@ -1,11 +1,12 @@
-//! Sized scoped worker pool for real host fan-out.
+//! Sized scoped worker pool: the workspace's one host fan-out path.
 //!
-//! Every sorter config used to carry a `parallel: bool` that handed fan-out
-//! to whatever global thread count the rayon stand-in picked. The paper's
-//! experimental regime (Table I) varies the core count explicitly, so the
-//! configs now carry `threads: usize` and every fan-out site routes through
-//! this module: a per-region [`std::thread::scope`] pool of exactly
+//! The paper's experimental regime (Table I) varies the core count
+//! explicitly, so configs carry `threads: usize` and every fan-out site —
+//! the sorters, k-means and the tiled GEMM alike — routes through this
+//! module: a per-region [`std::thread::scope`] pool of exactly
 //! `min(threads, tasks)` workers claiming tasks through an atomic cursor.
+//! At `threads <= 1` the tasks run inline, so call sites never branch on
+//! the thread count themselves.
 //!
 //! Dynamic claiming (rather than static partitioning) keeps skewed task
 //! sets — oversized NMsort buckets, unbalanced oblivious recursions — from
@@ -31,38 +32,40 @@ pub fn host_threads() -> usize {
 
 /// Run `f(i, item)` for every item of `items`, fanning out over at most
 /// `threads` scoped host threads. `threads <= 1` (or fewer than two items)
-/// runs inline on the caller — bit-for-bit the sequential execution.
+/// runs inline on the caller — bit-for-bit the sequential execution, with
+/// no allocation.
 ///
 /// Panics in a worker propagate to the caller when the scope joins.
-pub fn run_indexed<T, F>(threads: usize, items: Vec<T>, f: F)
+pub fn run_indexed<I, F>(threads: usize, items: I, f: F)
 where
-    T: Send,
-    F: Fn(usize, T) + Sync,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
+    F: Fn(usize, I::Item) + Sync,
 {
     map_indexed(threads, items, f);
 }
 
 /// Like [`run_indexed`] but collects each task's result in input order.
-pub fn map_indexed<T, R, F>(threads: usize, items: Vec<T>, f: F) -> Vec<R>
+pub fn map_indexed<I, R, F>(threads: usize, items: I, f: F) -> Vec<R>
 where
-    T: Send,
+    I: IntoIterator,
+    I::IntoIter: ExactSizeIterator,
+    I::Item: Send,
     R: Send,
-    F: Fn(usize, T) -> R + Sync,
+    F: Fn(usize, I::Item) -> R + Sync,
 {
+    let items = items.into_iter();
     let n = items.len();
     let workers = threads.max(1).min(n);
     if workers <= 1 {
-        return items
-            .into_iter()
-            .enumerate()
-            .map(|(i, t)| f(i, t))
-            .collect();
+        return items.enumerate().map(|(i, t)| f(i, t)).collect();
     }
     // Task slots: each worker claims the next index from the cursor and
     // takes ownership of that slot's item. The mutexes are uncontended by
-    // construction (one claimant per index) — they exist to move `T` out
-    // of the shared vector safely.
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    // construction (one claimant per index) — they exist to move each item
+    // out of the shared vector safely.
+    let slots: Vec<Mutex<Option<I::Item>>> = items.map(|t| Mutex::new(Some(t))).collect();
     let out: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     std::thread::scope(|s| {

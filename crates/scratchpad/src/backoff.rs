@@ -209,7 +209,6 @@ impl Backoff {
         self.class.unified_forced();
         self.class.legacy_forced();
     }
-
 }
 
 #[cfg(test)]

@@ -22,10 +22,9 @@
 //!   point of a user-controlled hierarchy.
 //! * [`arena::StagingArena`] — scratchpad staging buffers with pending
 //!   transfers, the substrate of NMsort's overlapped (DMA) ingest.
-//! * [`executor::Executor`] — a worker-pool runtime arbitrating every
-//!   charged transfer over a bounded pool of `p′` transfer slots
-//!   (Theorem 10), with a seeded deterministic scheduler mode replayable
-//!   bit-for-bit from `(seed, p, p′)`.
+//! * [`executor::Executor`] — a virtual-time arbiter of every charged
+//!   transfer over a bounded pool of `p′` transfer slots (Theorem 10),
+//!   replayable bit-for-bit from `(seed, p, p′)`.
 //! * [`trace`] — virtual-lane phase traces. Simulated parallelism (e.g. the
 //!   256 cores of the paper's Fig. 4 machine) is expressed by charging work
 //!   to *virtual lanes* via [`trace::with_lane`], independent of how many
@@ -67,8 +66,8 @@ pub use backoff::{splitmix64, Backoff, RetryClass};
 pub use cancel::CancelToken;
 pub use error::SpError;
 pub use executor::{
-    ExecConfig, ExecConfigError, ExecMode, ExecReport, Executor, TransferGrant, WorkerReport,
-    EXEC_SEED_ENV, EXEC_SLOTS_ENV, EXEC_WORKERS_ENV,
+    ExecConfig, ExecConfigError, ExecReport, Executor, TransferGrant, WorkerReport, EXEC_SEED_ENV,
+    EXEC_SLOTS_ENV, EXEC_WORKERS_ENV,
 };
 pub use fault::{
     with_faults_suppressed, FaultDecision, FaultEvent, FaultInjector, FaultKind, FaultOp,

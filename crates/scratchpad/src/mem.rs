@@ -118,12 +118,6 @@ impl TwoLevel {
         inj
     }
 
-    /// Install the standard seeded profile from `TLMM_FAULT_SEED` if the
-    /// variable is set; returns the injector when it is.
-    pub fn install_faults_from_env(&self) -> Option<Arc<FaultInjector>> {
-        FaultPlan::from_env().map(|p| self.install_fault_plan(p))
-    }
-
     /// Remove any installed fault plan.
     pub fn clear_faults(&self) {
         *self.inner.faults.lock() = None;
@@ -256,30 +250,16 @@ impl TwoLevel {
     // ------------------------------------------------------------------
 
     /// Install an executor on this memory; from now on every charged
-    /// transfer contends for its `p′` transfer slots and stage fan-outs
-    /// routed through [`Self::run_stage`] execute on its workers. Replaces
-    /// any previous executor. Arbitration never touches the charge ledger —
-    /// only waits (trace `slot_wait_units` + telemetry) are added — so the
-    /// ledger stays byte-identical to an executor-free run.
+    /// transfer contends for its `p′` transfer slots in virtual time.
+    /// Replaces any previous executor. Arbitration never touches the
+    /// charge ledger — only waits (trace `slot_wait_units` + telemetry) are
+    /// added — so the ledger stays byte-identical to an executor-free run.
     pub fn install_executor(&self, cfg: ExecConfig) -> Result<Arc<Executor>, ExecConfigError> {
         cfg.validate()?;
         let ex = Arc::new(Executor::new(cfg));
         *self.inner.executor.lock() = Some(Arc::clone(&ex));
         self.inner.has_executor.store(true, Ordering::Release);
         Ok(ex)
-    }
-
-    /// Install a deterministic executor from `TLMM_EXEC_SEED` (plus
-    /// `TLMM_EXEC_WORKERS` / `TLMM_EXEC_SLOTS`) if set; returns the
-    /// executor when one was installed.
-    pub fn install_executor_from_env(&self) -> Option<Arc<Executor>> {
-        ExecConfig::from_env().and_then(|cfg| self.install_executor(cfg).ok())
-    }
-
-    /// Remove any installed executor.
-    pub fn clear_executor(&self) {
-        *self.inner.executor.lock() = None;
-        self.inner.has_executor.store(false, Ordering::Release);
     }
 
     /// The currently installed executor, if any.
@@ -290,26 +270,10 @@ impl TwoLevel {
         self.inner.executor.lock().clone()
     }
 
-    /// Execute one stage of tasks: on the installed executor's worker pool
-    /// (seeded-permutation sequential in deterministic mode, OS threads in
-    /// host mode) when one is installed, otherwise sequentially in the
-    /// given order. Tasks handle their own lane attribution.
-    pub fn run_stage<'env>(&self, tasks: Vec<Box<dyn FnOnce() + Send + 'env>>) {
-        match self.executor() {
-            Some(ex) => ex.run_tasks(tasks),
-            None => {
-                for t in tasks {
-                    t();
-                }
-            }
-        }
-    }
-
     /// Arbitrate one charged transfer of `bytes` over the executor's
     /// transfer slots (no-op without an executor). Virtual waits are
-    /// recorded against the current lane in the open phase. The returned
-    /// grant is held across the charge so that in host mode `p′` genuinely
-    /// bounds concurrent charged operations.
+    /// recorded against the current lane in the open phase; the grant's
+    /// stamps go to the flight recorder.
     #[inline]
     fn arbitrate(&self, bytes: u64) -> Option<crate::executor::TransferGrant> {
         if !self.inner.has_executor.load(Ordering::Acquire) {

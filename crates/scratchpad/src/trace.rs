@@ -48,9 +48,9 @@ pub struct LaneWork {
     /// RAM-model operations (comparisons, arithmetic) executed.
     pub compute_ops: u64,
     /// Virtual byte-units this lane's worker spent waiting for a transfer
-    /// slot under an installed deterministic [`crate::executor::Executor`]
-    /// (Theorem 10's `p′` arbitration). Zero when no executor is installed,
-    /// in host mode, and whenever `p ≤ p′` demand never collides.
+    /// slot under an installed [`crate::executor::Executor`] (Theorem 10's
+    /// `p′` arbitration). Zero when no executor is installed and whenever
+    /// `p ≤ p′` demand never collides.
     pub slot_wait_units: u64,
 }
 

@@ -19,9 +19,8 @@
 //!   clock only advances through its own transfers, so per-lane
 //!   timestamps are monotone non-decreasing).
 //! * [`ClockDomain::Wall`] — timestamps are [`crate::now_ns`]
-//!   nanoseconds. Host-mode transfer events still carry real
-//!   issue/grant stamps (the measured semaphore wait) but no slot
-//!   identity or occupancy.
+//!   nanoseconds. Transfers charged without an executor carry no slot
+//!   identity ([`NO_SLOT`]) or occupancy.
 //!
 //! # Event vocabulary
 //!
@@ -139,10 +138,10 @@ impl Default for FlightEvent {
 }
 
 /// Virtual-time stamps of one arbitrated transfer, as reported by the
-/// executor (wall nanoseconds in host mode, with `slot == NO_SLOT`).
+/// executor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransferTiming {
-    /// Slot that served the transfer ([`NO_SLOT`] in host mode).
+    /// Slot that served the transfer.
     pub slot: u32,
     /// When the worker requested a slot.
     pub issue: u64,
@@ -255,7 +254,7 @@ impl FlightConfig {
         }
     }
 
-    /// Wall-clock config (host mode or executor-free runs).
+    /// Wall-clock config (executor-free runs).
     pub fn wall(workers: u32, transfer_slots: u32) -> Self {
         FlightConfig {
             domain: ClockDomain::Wall,
@@ -512,7 +511,7 @@ pub struct TransferRec {
     pub lane: u32,
     /// Ledger bytes charged.
     pub bytes: u64,
-    /// Slot that served it ([`NO_SLOT`] in host mode).
+    /// Slot that served it ([`NO_SLOT`] without an executor).
     pub slot: u32,
     /// Issue timestamp.
     pub issue: u64,
