@@ -53,3 +53,56 @@ proptest! {
         prop_assert!(s.far_bytes <= 3 * vol + vol / 2, "far {} vs 3 passes {}", s.far_bytes, 3 * vol);
     }
 }
+
+/// An installed executor reorders the staging stripes and books slot waits,
+/// but the ledger and every lane's volumes stay those of an executor-free run.
+#[test]
+fn executor_moves_only_the_slot_waits() {
+    let run = |exec: bool| {
+        let tl = tl();
+        let ex = exec.then(|| {
+            tl.install_executor(tlmm_scratchpad::ExecConfig::deterministic(8, 2, 42))
+                .unwrap()
+        });
+        let a = Matrix::random(&tl, 48, 48, 7);
+        let b = Matrix::random(&tl, 48, 48, 8);
+        let cfg = GemmConfig {
+            tile: Some(8),
+            sim_lanes: 4,
+            parallel: false,
+        };
+        gemm_near(&tl, &a, &b, &cfg).unwrap();
+        let lanes: Vec<(String, Vec<_>)> = tl
+            .take_trace()
+            .phases
+            .into_iter()
+            .map(|p| {
+                let lanes = p
+                    .lanes
+                    .into_iter()
+                    .map(|l| tlmm_scratchpad::trace::LaneWork {
+                        slot_wait_units: 0,
+                        ..l
+                    });
+                (p.name, lanes.collect())
+            })
+            .collect();
+        (tl.ledger().snapshot(), lanes, ex.map(|e| e.report()))
+    };
+    let (free_cost, free_lanes, _) = run(false);
+    let (exec_cost, exec_lanes, report) = run(true);
+    assert_eq!(free_cost, exec_cost);
+    assert_eq!(free_lanes, exec_lanes);
+    let staged = &free_lanes
+        .iter()
+        .find(|(n, _)| n == "gemm.stage_b")
+        .unwrap()
+        .1;
+    assert_eq!(staged.len(), 4, "B is staged in one stripe per lane");
+    let report = report.unwrap();
+    assert!(report.transfers > 0);
+    assert_eq!(
+        report.total_bytes,
+        exec_cost.far_bytes + exec_cost.near_bytes
+    );
+}
